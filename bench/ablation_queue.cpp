@@ -5,16 +5,20 @@
 // Intel-sdk-1 implements a switchless call with a lock."
 //
 // Part 1 — real microbenchmark (google-benchmark, wall-clock time): the
-// lock-free SPSC ring vs the lock-based channel, same traffic.
+// lock-free SPSC ring vs the lock-based channel vs the runtime Mailbox (the
+// multi-producer ring the interpreter's workers actually talk through, with
+// its (kind, tag) matching), same traffic.
 // Part 2 — model-level ablation: re-run the Figure 9 hashmap point with
 // Privagic's crossing cost swapped to the lock-based channel, showing how
 // much of Privagic's edge comes from the queue alone.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <thread>
 
 #include "ds/harness.hpp"
+#include "runtime/mailbox.hpp"
 #include "runtime/spsc_queue.hpp"
 #include "runtime/switchless.hpp"
 
@@ -45,6 +49,19 @@ void BM_LockChannelSingleThread(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LockChannelSingleThread);
+
+void BM_MailboxSingleThread(benchmark::State& state) {
+  runtime::Mailbox box;
+  box.set_adaptive(true);
+  std::int64_t v = 0;
+  for (auto _ : state) {
+    box.push(runtime::Message::cont(0, v));
+    benchmark::DoNotOptimize(box.next(runtime::MsgKind::kCont, 0).payload);
+    ++v;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MailboxSingleThread);
 
 void BM_SpscPingPong(benchmark::State& state) {
   runtime::SpscQueue<std::uint64_t> request(64);
@@ -88,6 +105,30 @@ void BM_LockChannelPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LockChannelPingPong);
+
+void BM_MailboxPingPong(benchmark::State& state) {
+  runtime::Mailbox request;
+  runtime::Mailbox response;
+  request.set_adaptive(true);  // the runtime's default wait (RecoveryOptions)
+  response.set_adaptive(true);
+  std::thread echo([&] {
+    while (true) {
+      const runtime::Message m = request.next(runtime::MsgKind::kCont, 0);
+      if (m.kind == runtime::MsgKind::kStop) return;
+      response.push(runtime::Message::cont(0, m.payload + 1));
+    }
+  });
+  std::int64_t v = 0;
+  for (auto _ : state) {
+    request.push(runtime::Message::cont(0, v));
+    benchmark::DoNotOptimize(response.next(runtime::MsgKind::kCont, 0).payload);
+    ++v;
+  }
+  request.push(runtime::Message::stop());  // sticky: unblocks the echo thread
+  echo.join();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MailboxPingPong);
 
 void model_level_ablation() {
   using namespace privagic::ds;  // NOLINT(google-build-using-namespace)

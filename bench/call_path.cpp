@@ -323,9 +323,7 @@ int main(int argc, char** argv) {
                                        ? 0.0
                                        : static_cast<double>(snap.batched_messages) /
                                              static_cast<double>(snap.batch_flushes))
-      .meta("gate_min_ratio", 2.0)
-      .meta("hardware_concurrency",
-            static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+      .meta("gate_min_ratio", 2.0);  // nproc/affinity_mask come from the writer
   obs::set_metrics_enabled(false);
   obs::embed_metrics(json);
   if (!json.write_file(json_path)) {

@@ -6,41 +6,45 @@
 // keeps nested cross-enclave calls from deadlocking — see
 // partition/intrinsics.hpp).
 //
-// Robustness additions over the seed mailbox:
+// Transport. This is the interpreter runtime's one message channel, built as
+// the paper's runtime builds its per-worker channel: "a lock-free FIFO queue
+// stored in unsafe memory" (§7.3.2). Three parts:
+//   * an inbound ring — a bounded multi-producer ring with per-slot sequence
+//     numbers (Vyukov). A push claims a slot with one CAS and publishes it
+//     with one release store: no lock, no syscall;
+//   * an overflow list — a producer never blocks on a full ring. It appends
+//     under a lock instead, and while the list is non-empty every later push
+//     follows it there, so per-sender FIFO holds. The drainer takes the list
+//     only once no ring push is still ahead of it. (Retransmits push from
+//     threads that are not draining their own mailbox, so a blocking push
+//     could deadlock);
+//   * a pending list — drained messages that did not match the current wait.
+//     One thread drains at a time (drain_mu_, never held while waiting), so
+//     several waiters and a hot-failover replica can share a mailbox.
+//
+// Semantics the runtime builds on:
 //   * next_for() — a timed variant of next(); the recovery protocol in
 //     workers.hpp builds its bounded-retry/backoff loop on it, so a dropped
 //     message degrades into a timeout instead of an eternal block.
-//   * stop is *sticky*: a pushed kStop sets a flag (one notify_all) instead
-//     of being a queue entry one lucky waiter consumes. Every blocked waiter
-//     — present and future — observes it, after first draining any matching
-//     or control messages still queued.
-//   * pushes wake one waiter when one is blocked and broadcast only when
-//     several are (the seed broadcast on every push).
+//   * stop is *sticky*: a pushed kStop sets a flag instead of being a queue
+//     entry one lucky waiter consumes. Every waiter — present and future —
+//     observes it, after first draining any matching or control messages
+//     queued before it.
 //   * an optional FaultInjector interposes on push, modeling the attacker
-//     who owns this queue's unsafe memory (kStop/kPoison are runtime-
-//     internal control and bypass it).
+//     who owns this queue's unsafe memory (kStop/kPoison/kCrash are runtime-
+//     internal control and bypass it). Filter and enqueue run under one
+//     producer-side lock, so delivery order is the injector's crossing order.
+//   * push_batch() delivers a sender's coalesced outbox slot with one wake
+//     check; the injector still filters every message individually, so
+//     scripted fault crossings land on batched slots exactly as on singles.
 //
-// Batched call path (perf PR):
-//   * push_batch() delivers a sender's coalesced outbox slot — one lock
-//     acquisition and one wake for up to MessageBatch::kCapacity messages.
-//     The injector still filters every message individually, so scripted
-//     fault crossings land on batched slots exactly as they would on
-//     singles.
-//   * adaptive waiting (set_adaptive): a failed wait spins on a lock-free
-//     delivery version, then yields, then parks on the condition variable.
-//     The spin budget adapts to observed traffic — it grows while spins are
-//     rewarded (short round-trips, shallow queue) and halves every time a
-//     wait degrades to a futex park — so hot request loops never pay a
-//     kernel sleep and idle workers never burn a core.
-//
-// This is the *functional* runtime used by the interpreter. The benchmark
-// runtime uses the lock-free SPSC ring of spsc_queue.hpp, as the paper's
-// Privagic runtime does; a mutex+cv mailbox keeps the interpreter simple
-// without affecting any reported number (benchmarks never run interpreted
-// code).
+// Waiting (set_adaptive): a failed wait pause-spins briefly, then yields for
+// kYieldFor, then parks on a condition variable. A producer touches the park
+// lock only when a sleeper count, read after a seq_cst fence, is non-zero,
+// so a hot request loop runs without a syscall.
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -70,117 +74,78 @@ inline void cpu_relax() {
 #endif
 }
 
+// The StoreLoad fence of the park/wake handshake. GCC warns that TSan does
+// not model fences; it need not here, because no plain data is published
+// through this fence (the ring slots carry their own release/acquire).
+#if defined(__SANITIZE_THREAD__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wtsan"
+#endif
+inline void store_load_fence() { __atomic_thread_fence(__ATOMIC_SEQ_CST); }
+#if defined(__SANITIZE_THREAD__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 class Mailbox {
  public:
+  using Clock = std::chrono::steady_clock;
+
+  /// Inbound ring capacity: 256 slots of 80 bytes, 20 KiB per mailbox.
+  static constexpr std::uint64_t kRingSlots = 256;
+
+  Mailbox() {
+    for (std::uint64_t i = 0; i < kRingSlots; ++i) {
+      ring_[i].seq.store(i, std::memory_order_relaxed);
+    }
+  }
+  Mailbox(const Mailbox&) = delete;
+  Mailbox& operator=(const Mailbox&) = delete;
+
   /// Attaches the adversarial interposer. @p channel identifies this mailbox
   /// in the injector's per-channel hold-back state (use the color index).
+  /// Configure before traffic starts.
   void set_injector(FaultInjector* injector, std::size_t channel) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    injector_ = injector;
+    const std::lock_guard<std::mutex> lock(inject_mu_);
     channel_ = channel;
+    injector_.store(injector, std::memory_order_release);
   }
 
-  /// Enables the spin→yield→park wait tiers (off by default so direct
-  /// Mailbox users keep the plain blocking behavior). Configure before
-  /// traffic starts.
+  /// Enables the spin→yield→park wait (off by default so direct Mailbox
+  /// users keep the plain blocking behavior). Configure before traffic starts.
   void set_adaptive(bool on) { adaptive_.store(on, std::memory_order_relaxed); }
 
   void push(const Message& m) {
-    bool wake = false;
-    bool broadcast = false;
-    std::size_t depth = 0;  // captured under the lock, recorded after unlock
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (m.kind == MsgKind::kStop) {
+    if (m.kind == MsgKind::kStop) {
+      {
         // Shutdown drains the attacker's hold-back buffer (late copies are
-        // deduplicated downstream) and wakes *every* waiter exactly once.
-        if (injector_ != nullptr) {
-          std::vector<Message> held;
-          injector_->flush(channel_, held);
-          for (const Message& h : held) queue_.push_back(h);
+        // deduplicated downstream) ahead of the sticky flag.
+        const std::lock_guard<std::mutex> lock(inject_mu_);
+        if (FaultInjector* injector = injector_.load(std::memory_order_acquire)) {
+          delivered_.clear();
+          injector->flush(channel_, delivered_);
+          for (const Message& h : delivered_) enqueue(h);
         }
-        stopped_ = true;
-        wake = broadcast = true;
-      } else if (m.kind == MsgKind::kPoison || m.kind == MsgKind::kCrash ||
-                 injector_ == nullptr) {
-        // kPoison (watchdog) and kCrash (crash injection / replica handoff)
-        // are runtime-internal control: they model events *about* the
-        // channel's endpoints, not traffic on the channel, so the attacker
-        // interposer never sees them.
-        queue_.push_back(m);
-        depth = queue_.size();
-        wake = waiters_ > 0;
-        broadcast = waiters_ > 1;
-      } else {
-        std::vector<Message> delivered;
-        injector_->filter(channel_, m, delivered);
-        if (delivered.empty()) return;  // dropped (or held back) in transit
-        for (const Message& d : delivered) queue_.push_back(d);
-        depth = queue_.size();
-        wake = waiters_ > 0;
-        broadcast = waiters_ > 1;
+        stopped_.store(true, std::memory_order_release);
       }
-      // Publish the delivery to lock-free spinners (adaptive wait tier).
-      version_.fetch_add(1, std::memory_order_release);
-    }
-    // Outside the lock: recording must not lengthen the consumer's critical
-    // section (the push→wake rendezvous is the runtime's latency floor).
-    if (depth != 0) obs::on_mailbox_depth(depth);
-    // `waiters_` counts *parked* threads only, and a receiver holds mu_ from
-    // its final empty scan until cv_.wait releases it — a delivery can never
-    // slip into that window. So waiters_ == 0 under the lock means nobody
-    // needs a futex wake: a spinning receiver observes version_ instead, and
-    // the whole rendezvous stays syscall-free.
-    if (!wake) return;
-    if (broadcast) {
-      cv_.notify_all();
-    } else {
-      cv_.notify_one();
-    }
-  }
-
-  /// Delivers @p n messages under a single lock acquisition with a single
-  /// wake — the receive side of the sender-side outbox slab. Message order
-  /// within the batch is the sender's enqueue order, so per-(sender, target)
-  /// FIFO delivery is exactly what push() in a loop would give; what is
-  /// saved is n-1 lock round-trips and n-1 notifications. The injector is
-  /// consulted once *per message* (not per batch): its crossing counter and
-  /// hold-back buffers advance exactly as under unbatched delivery, which is
-  /// what keeps the scripted fault tests' crossing indices valid. Control
-  /// messages (kStop/kPoison) never travel in batches — senders flush and
-  /// push them individually.
-  void push_batch(const Message* msgs, std::size_t n) {
-    if (n == 0) return;
-    if (n == 1) {
-      push(msgs[0]);
+      wake();
       return;
     }
-    bool wake = false;
-    bool broadcast = false;
-    std::size_t depth = 0;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (injector_ == nullptr) {
-          queue_.push_back(msgs[i]);
-          continue;
-        }
-        std::vector<Message> delivered;
-        injector_->filter(channel_, msgs[i], delivered);
-        for (const Message& d : delivered) queue_.push_back(d);
-      }
-      depth = queue_.size();
-      wake = waiters_ > 0;
-      broadcast = waiters_ > 1;
-      version_.fetch_add(1, std::memory_order_release);
-    }
-    if (depth != 0) obs::on_mailbox_depth(depth);
-    if (!wake) return;  // parked-waiter count is exact under mu_ (see push)
-    if (broadcast) {
-      cv_.notify_all();
-    } else {
-      cv_.notify_one();
-    }
+    // kPoison (watchdog) and kCrash (crash injection / replica handoff) model
+    // events *about* the channel's endpoints, not traffic on it, so the
+    // attacker interposer never sees them.
+    const bool control = m.kind == MsgKind::kPoison || m.kind == MsgKind::kCrash;
+    deliver(&m, 1, control ? nullptr : injector_.load(std::memory_order_acquire));
+  }
+
+  /// Delivers @p n messages with a single wake check — the receive side of
+  /// the sender-side outbox slab. Message order within the batch is the
+  /// sender's enqueue order, so per-(sender, target) FIFO delivery is exactly
+  /// what push() in a loop would give. The injector is consulted once *per
+  /// message*: its crossing counter and hold-back buffers advance exactly as
+  /// under unbatched delivery, which keeps the scripted fault tests' crossing
+  /// indices valid. Control messages (kStop/kPoison) never travel in batches.
+  void push_batch(const Message* msgs, std::size_t n) {
+    deliver(msgs, n, injector_.load(std::memory_order_acquire));
   }
 
   /// Blocks until a message matching (kind, tag) — or any control message —
@@ -189,168 +154,273 @@ class Mailbox {
   /// stop is reported only once no queued message qualifies.
   ///
   /// @p on_block (when given) is invoked exactly once, just before the caller
-  /// first parks on the condition variable — a delivery satisfied straight
-  /// off the queue never invokes it. The instrumentation in workers.hpp hangs
-  /// its wait timing off this, so the fast path pays zero clock reads.
+  /// first parks — a delivery caught before that never invokes it. The
+  /// instrumentation in workers.hpp hangs its wait timing off this, so the
+  /// fast path pays zero clock reads.
   Message next(MsgKind kind, std::int64_t tag) {
     return next(kind, tag, [] {});
   }
 
   template <typename OnBlock>
   Message next(MsgKind kind, std::int64_t tag, OnBlock&& on_block) {
-    return *take(kind, tag, /*match_any_tag=*/false, std::nullopt,
+    return *take(kind, tag, /*control_only=*/false, std::nullopt,
                  std::forward<OnBlock>(on_block));
   }
 
   /// Timed variant of next(): returns std::nullopt when @p timeout elapses
   /// with no qualifying message. The building block of the recovery loop.
-  std::optional<Message> next_for(MsgKind kind, std::int64_t tag,
-                                  std::chrono::steady_clock::duration timeout) {
+  std::optional<Message> next_for(MsgKind kind, std::int64_t tag, Clock::duration timeout) {
     return next_for(kind, tag, timeout, [] {});
   }
 
   template <typename OnBlock>
-  std::optional<Message> next_for(MsgKind kind, std::int64_t tag,
-                                  std::chrono::steady_clock::duration timeout,
+  std::optional<Message> next_for(MsgKind kind, std::int64_t tag, Clock::duration timeout,
                                   OnBlock&& on_block) {
-    return take(kind, tag, /*match_any_tag=*/false,
-                std::chrono::steady_clock::now() + timeout,
+    return take(kind, tag, /*control_only=*/false, Clock::now() + timeout,
                 std::forward<OnBlock>(on_block));
   }
 
   /// Blocks for the next control message (the worker idle loop).
   Message next_control() {
-    return *take(MsgKind::kStop, 0, /*match_any_tag=*/true, std::nullopt, [] {});
+    return *take(MsgKind::kStop, 0, /*control_only=*/true, std::nullopt, [] {});
   }
 
-  std::optional<Message> next_control_for(std::chrono::steady_clock::duration timeout) {
-    return take(MsgKind::kStop, 0, /*match_any_tag=*/true,
-                std::chrono::steady_clock::now() + timeout, [] {});
+  std::optional<Message> next_control_for(Clock::duration timeout) {
+    return take(MsgKind::kStop, 0, /*control_only=*/true, Clock::now() + timeout, [] {});
   }
 
-  /// Non-blocking size snapshot (tests only).
+  /// Size snapshot: pending, ring and overflow (tests only).
   [[nodiscard]] std::size_t size() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size();
+    const std::lock_guard<std::mutex> drain(drain_mu_);
+    const std::lock_guard<std::mutex> overflow(overflow_mu_);
+    return pending_.size() + overflow_.size() +
+           (tail_.load(std::memory_order_acquire) - head_.load(std::memory_order_relaxed));
   }
 
  private:
-  /// Removes the first control message or (unless @p control_only via
-  /// match_any_tag) the first (kind, tag) match. Blocks until @p deadline
-  /// (forever when nullopt); sticky stop satisfies any wait with an empty
-  /// queue. @p on_block fires once, before the first park.
-  template <typename OnBlock>
-  std::optional<Message> take(
-      MsgKind kind, std::int64_t tag, bool control_only,
-      std::optional<std::chrono::steady_clock::time_point> deadline,
-      OnBlock&& on_block) {
-    const auto scan = [&]() -> std::optional<Message> {
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        const bool match = !control_only && it->kind == kind && it->tag == tag;
-        if (it->is_control() || match) {
-          Message m = *it;
-          queue_.erase(it);
-          return m;
-        }
-      }
-      if (stopped_) return Message::stop();
-      return std::nullopt;
-    };
+  // Wait tuning: pure pause-spins, then sched_yield for kYieldFor, then park.
+  // 256 pauses take ~6 µs on a current Xeon, longer than one kvcache queue
+  // crossing, so a request loop's waits end inside the spin.
+  static constexpr std::uint32_t kPauseIters = 256;
+  static constexpr std::chrono::microseconds kYieldFor{50};
+  // Timed waits whose remaining deadline is at most this never park: a futex
+  // wake's latency is the same order as such a deadline, so parking would
+  // turn every such wait into a timeout. The caller's retry loop is bounded.
+  static constexpr std::chrono::milliseconds kSpinParkThreshold{2};
 
-    std::unique_lock<std::mutex> lock(mu_);
-    if (auto m = scan()) return m;  // fast path: delivery without parking
-    if (adaptive_.load(std::memory_order_relaxed)) {
-      // Spin tier, then yield tier: watch the delivery version lock-free so
-      // a push that lands within the budget is consumed without any futex
-      // round-trip. The pause preamble is deliberately short — it only wins
-      // when the producer is *currently running* on another core. After it,
-      // every iteration yields: on a loaded (or single-core) machine that
-      // hands the timeslice straight to the producer, which is the cheapest
-      // possible rendezvous — the whole round trip completes on scheduler
-      // switches, no futex syscalls at all. The budget is outcome-driven —
-      // doubled when the spin is rewarded (the short-round-trip regime),
-      // halved when the wait degrades to a park — so hot request loops stay
-      // in the yield tier and idle workers converge to parking.
-      const std::uint64_t seen = version_.load(std::memory_order_relaxed);
-      const std::uint32_t budget = spin_budget_.load(std::memory_order_relaxed);
-      // Sub-millisecond deadlines (the failover-tuned recovery configs) never
-      // park: a futex sleep's wake latency is the same order as the whole
-      // deadline, so parking would turn every such wait into a guaranteed
-      // timeout. Spin/yield to the deadline instead — the retry loop above us
-      // is already bounded, so the burn is capped at kSpinParkThreshold.
-      const bool spin_out_deadline =
-          deadline.has_value() &&
-          *deadline - std::chrono::steady_clock::now() <= kSpinParkThreshold;
-      lock.unlock();
-      bool delivered = false;
-      for (std::uint32_t i = 0; spin_out_deadline || i < budget; ++i) {
-        if (version_.load(std::memory_order_acquire) != seen) {
-          delivered = true;
-          break;
-        }
-        if (i < kPauseIters) {
-          cpu_relax();
-        } else {
-          // A clock read is cheaper than the yield syscall, so timed waits
-          // can afford an exact deadline check every iteration here.
-          if (deadline.has_value() && std::chrono::steady_clock::now() >= *deadline) break;
-          std::this_thread::yield();
-        }
+  struct Slot {
+    std::atomic<std::uint64_t> seq{0};  // == pos: free; == pos + 1: published
+    Message msg;
+  };
+  // One ring per color per runtime: keep it small (peak RSS is a benchmark
+  // metric).
+  static_assert(sizeof(Slot) * kRingSlots <= 32 * 1024);
+
+  /// Enqueues @p n messages — through @p injector, when given, with filter
+  /// and enqueue under one lock — and wakes a parked waiter.
+  void deliver(const Message* msgs, std::size_t n, FaultInjector* injector) {
+    std::size_t depth = 0;
+    if (injector == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) depth = enqueue(msgs[i]);
+    } else {
+      const std::lock_guard<std::mutex> lock(inject_mu_);
+      for (std::size_t i = 0; i < n; ++i) {
+        delivered_.clear();
+        injector->filter(channel_, msgs[i], delivered_);
+        for (const Message& d : delivered_) depth = enqueue(d);
       }
-      lock.lock();
-      if (auto m = scan()) {
-        if (delivered) {
-          spin_budget_.store(std::min<std::uint32_t>(budget * 2, kSpinMax),
-                             std::memory_order_relaxed);
-        }
-        return m;
-      }
-      if (deadline.has_value() && std::chrono::steady_clock::now() >= *deadline) {
-        return std::nullopt;
-      }
-      spin_budget_.store(std::max<std::uint32_t>(budget / 2, kSpinMin),
-                         std::memory_order_relaxed);
     }
-    on_block();
-    while (true) {
-      ++waiters_;
-      if (deadline.has_value()) {
-        const auto status = cv_.wait_until(lock, *deadline);
-        --waiters_;
-        if (status == std::cv_status::timeout) {
-          // One last scan after the timed wake: a message may have been
-          // pushed between the timeout and reacquiring the lock.
-          return scan();
+    if (depth == 0) return;  // nothing to deliver, or all dropped in transit
+    obs::on_mailbox_depth(depth);
+    wake();
+  }
+
+  /// Appends @p m to the ring, or to the overflow list when the ring is full
+  /// or the list is already in use. Returns the resulting occupancy (never 0;
+  /// 1 for a ring push while metrics are off).
+  std::size_t enqueue(const Message& m) {
+    if (!overflow_active_.load(std::memory_order_acquire)) {
+      std::uint64_t pos = tail_.load(std::memory_order_relaxed);
+      while (true) {
+        Slot& s = ring_[pos % kRingSlots];
+        const std::uint64_t seq = s.seq.load(std::memory_order_acquire);
+        if (seq == pos) {
+          if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
+            // Occupancy is read only when metrics will record it: head_ sits
+            // on the drainer's hot cache line. Read before publishing, since
+            // the drainer cannot pass an unpublished slot, so head <= pos.
+            const std::uint64_t head =
+                obs::metrics_enabled() ? head_.load(std::memory_order_relaxed) : pos;
+            s.msg = m;
+            s.seq.store(pos + 1, std::memory_order_release);
+            return pos + 1 - head;
+          }
+        } else if (seq < pos) {
+          break;  // full: the slot still holds the message of the previous lap
+        } else {
+          pos = tail_.load(std::memory_order_relaxed);
         }
-      } else {
-        cv_.wait(lock);
-        --waiters_;
       }
-      if (auto m = scan()) return m;
+    }
+    const std::lock_guard<std::mutex> lock(overflow_mu_);
+    overflow_.push_back(m);
+    overflow_active_.store(true, std::memory_order_release);
+    return kRingSlots + overflow_.size();
+  }
+
+  /// Wakes parked waiters, if any. The fence pairs with the one in park():
+  /// either this load sees the sleeper, or the sleeper's re-check sees the
+  /// delivery this thread published before calling wake().
+  void wake() {
+    store_load_fence();
+    if (sleepers_.load(std::memory_order_relaxed) == 0) return;
+    { const std::lock_guard<std::mutex> lock(park_mu_); }
+    park_cv_.notify_all();
+  }
+
+  /// True once something a poll could act on may have arrived since the
+  /// poll that left drained_ at @p seen.
+  [[nodiscard]] bool ready(std::uint64_t seen) const {
+    return tail_.load(std::memory_order_acquire) != head_.load(std::memory_order_acquire) ||
+           overflow_active_.load(std::memory_order_acquire) ||
+           stopped_.load(std::memory_order_acquire) ||
+           drained_.load(std::memory_order_acquire) != seen;
+  }
+
+  /// Sleeps until a producer (or another drainer) signals, unless ready()
+  /// already holds after registering as a sleeper.
+  void park(std::uint64_t seen, std::optional<Clock::time_point> deadline) {
+    std::unique_lock<std::mutex> lock(park_mu_);
+    sleepers_.fetch_add(1, std::memory_order_relaxed);
+    store_load_fence();
+    if (!ready(seen)) {
+      if (deadline.has_value()) {
+        park_cv_.wait_until(lock, *deadline);
+      } else {
+        park_cv_.wait(lock);
+      }
+    }
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  /// Moves delivered messages into pending_ (caller holds drain_mu_).
+  void drain() {
+    std::uint64_t head = head_.load(std::memory_order_relaxed);
+    while (true) {
+      Slot& s = ring_[head % kRingSlots];
+      if (s.seq.load(std::memory_order_acquire) != head + 1) break;
+      pending_.push_back(s.msg);
+      head_.store(++head, std::memory_order_relaxed);
+      s.seq.store(head - 1 + kRingSlots, std::memory_order_release);
+    }
+    if (!overflow_active_.load(std::memory_order_acquire)) return;
+    // A ring push claimed before an overflow push must be drained first (it
+    // may be the same sender's earlier message); until it lands, ready()
+    // holds and the waiter polls again.
+    const std::lock_guard<std::mutex> lock(overflow_mu_);
+    if (tail_.load(std::memory_order_acquire) != head) return;
+    pending_.insert(pending_.end(), overflow_.begin(), overflow_.end());
+    overflow_.clear();
+    overflow_active_.store(false, std::memory_order_release);
+  }
+
+  /// One drain-and-match pass. Removes the first control message or, unless
+  /// @p control_only, the first (kind, tag) match; a sticky stop answers a
+  /// pass that finds neither. @p seen receives drained_ for ready().
+  std::optional<Message> poll(MsgKind kind, std::int64_t tag, bool control_only,
+                              std::uint64_t& seen) {
+    const std::lock_guard<std::mutex> lock(drain_mu_);
+    const bool stop = stopped_.load(std::memory_order_acquire);
+    const std::size_t before = pending_.size();
+    drain();
+    const bool appended = pending_.size() != before;
+    seen = drained_.load(std::memory_order_relaxed) + (appended ? 1 : 0);
+    if (appended) drained_.store(seen, std::memory_order_release);
+    std::optional<Message> out;
+    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+      if (it->is_control() || (!control_only && it->kind == kind && it->tag == tag)) {
+        out = *it;
+        pending_.erase(it);
+        break;
+      }
+    }
+    // What this pass drained but did not take may be another waiter's match.
+    if (appended && !pending_.empty()) wake();
+    // Stop answers only once everything pushed before it has been drained.
+    if (!out.has_value() && stop &&
+        tail_.load(std::memory_order_acquire) == head_.load(std::memory_order_relaxed) &&
+        !overflow_active_.load(std::memory_order_acquire)) {
+      out = Message::stop();
+    }
+    return out;
+  }
+
+  /// The one wait path: poll, then pause-spin, yield and park until ready().
+  /// Blocks until @p deadline (forever when nullopt). @p on_block fires once,
+  /// before the first park.
+  template <typename OnBlock>
+  std::optional<Message> take(MsgKind kind, std::int64_t tag, bool control_only,
+                              std::optional<Clock::time_point> deadline,
+                              OnBlock&& on_block) {
+    const bool adaptive = adaptive_.load(std::memory_order_relaxed);
+    std::uint32_t spins = adaptive ? 0 : kPauseIters;
+    Clock::time_point yield_until{};  // set when the yield tier starts
+    bool blocked = false;
+    while (true) {
+      std::uint64_t seen = 0;
+      if (auto m = poll(kind, tag, control_only, seen)) return m;
+      while (!ready(seen)) {
+        if (spins < kPauseIters) {
+          ++spins;
+          cpu_relax();
+          continue;
+        }
+        const auto now = Clock::now();
+        if (deadline.has_value() && now >= *deadline) {
+          return poll(kind, tag, control_only, seen);  // last look after the timeout
+        }
+        if (spins == kPauseIters && adaptive) {
+          ++spins;
+          yield_until = now + kYieldFor;
+          if (deadline.has_value() && *deadline - now <= kSpinParkThreshold) {
+            yield_until = *deadline;
+          }
+        }
+        if (now < yield_until) {
+          std::this_thread::yield();
+          continue;
+        }
+        if (!blocked) {
+          blocked = true;
+          on_block();
+        }
+        park(seen, deadline);
+      }
     }
   }
 
-  // Adaptive-wait tuning: pure pause-spins before the yield tier, and the
-  // bounds of the self-adjusting budget (counted in total iterations, so the
-  // minimum budget already reaches the yield tier).
-  static constexpr std::uint32_t kPauseIters = 16;
-  static constexpr std::uint32_t kSpinMin = 64;
-  static constexpr std::uint32_t kSpinMax = 1024;
-  // Timed waits whose remaining deadline is at most this never park (see the
-  // adaptive tier above).
-  static constexpr std::chrono::milliseconds kSpinParkThreshold{2};
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Message> queue_;
-  std::size_t waiters_ = 0;
-  bool stopped_ = false;
-  FaultInjector* injector_ = nullptr;
-  std::size_t channel_ = 0;
-  // Bumped (under mu_) on every delivery/stop; read lock-free by spinners.
-  std::atomic<std::uint64_t> version_{0};
-  std::atomic<std::uint32_t> spin_budget_{kSpinMin};
+  // Producers: claimed with one CAS each.
+  alignas(64) std::atomic<std::uint64_t> tail_{0};
+  // Drainer side, written under drain_mu_; read lock-free by ready().
+  alignas(64) std::atomic<std::uint64_t> head_{0};
+  std::atomic<std::uint64_t> drained_{0};  // bumped by each poll that drains
+  std::deque<Message> pending_;
+  mutable std::mutex drain_mu_;
+  // Rarely written flags and the park rendezvous.
+  alignas(64) std::atomic<bool> overflow_active_{false};
+  std::atomic<bool> stopped_{false};
   std::atomic<bool> adaptive_{false};
+  std::atomic<std::uint32_t> sleepers_{0};
+  std::mutex park_mu_;
+  std::condition_variable park_cv_;
+  mutable std::mutex overflow_mu_;
+  std::deque<Message> overflow_;
+  // Injector path, serialized under inject_mu_.
+  std::atomic<FaultInjector*> injector_{nullptr};
+  std::mutex inject_mu_;
+  std::size_t channel_ = 0;
+  std::vector<Message> delivered_;
+  alignas(64) std::array<Slot, kRingSlots> ring_;
 };
 
 }  // namespace privagic::runtime

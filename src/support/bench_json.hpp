@@ -7,7 +7,8 @@
 //   {
 //     "benchmark": "<name>",
 //     "schema_version": 1,
-//     "meta":  { "<key>": <scalar>, ... },   // run-wide configuration
+//     "meta":  { "<key>": <scalar>, ... },   // run-wide configuration,
+//                                            // nproc + affinity_mask first
 //     "rows":  [ { "<key>": <scalar>, ... }, ... ],
 //     "metrics": { "<key>": <scalar>, ... }   // optional: runtime counters
 //   }
@@ -24,8 +25,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace privagic::support {
 
@@ -93,7 +99,29 @@ class BenchJsonWriter {
     Fields& fields_;
   };
 
-  explicit BenchJsonWriter(std::string benchmark) : benchmark_(std::move(benchmark)) {}
+  /// Starts the document with the CPUs the process may run on: `nproc` and
+  /// `affinity_mask` (hex, CPU 0 = bit 0, as `taskset -p` prints it), so a
+  /// ratio measured on one CPU is never compared with one measured on four.
+  explicit BenchJsonWriter(std::string benchmark) : benchmark_(std::move(benchmark)) {
+    unsigned nproc = std::thread::hardware_concurrency();
+    std::string mask;
+#if defined(__linux__)
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof set, &set) == 0) {
+      nproc = static_cast<unsigned>(CPU_COUNT(&set));
+      int top = CPU_SETSIZE - 1;
+      while (top > 0 && !CPU_ISSET(top, &set)) --top;
+      for (int nibble = top / 4; nibble >= 0; --nibble) {
+        int v = 0;
+        for (int b = 0; b < 4; ++b) v |= CPU_ISSET(nibble * 4 + b, &set) ? 1 << b : 0;
+        mask += "0123456789abcdef"[v];
+      }
+      mask = "0x" + mask;
+    }
+#endif
+    meta("nproc", nproc);
+    meta("affinity_mask", mask);
+  }
 
   /// Run-wide configuration (workload sizes, seeds, machine model, ...).
   BenchJsonWriter& meta(std::string key, Value v) {

@@ -225,6 +225,12 @@ TEST(JsonMiniTest, ParsesBenchWriterOutput) {
   EXPECT_EQ(r.value.find("benchmark")->string, "roundtrip");
   EXPECT_EQ(r.value.find("rows")->array[0].find("name")->string, "a\"b");
   EXPECT_EQ(r.value.find("metrics")->find("runtime.msg_sends.color0")->number, 42.0);
+  // Every document records where it ran.
+  const auto* meta = r.value.find("meta");
+  EXPECT_GE(meta->find("nproc")->number, 1.0);
+#if defined(__linux__)
+  EXPECT_EQ(meta->find("affinity_mask")->string.rfind("0x", 0), 0u);
+#endif
 }
 
 // ---------------------------------------------------------------------------
