@@ -42,6 +42,13 @@ struct ArithCase {
   std::int64_t expect;
 };
 
+// Without this gtest prints the raw bytes of the struct, which include the
+// ASLR-randomized addresses of `name`/`op`, so the discovered test names
+// would change from build to build.
+void PrintTo(const ArithCase& c, std::ostream* os) {
+  *os << c.name << "(" << c.a << ", " << c.b << ") = " << c.expect;
+}
+
 class ArithmeticTest : public ::testing::TestWithParam<ArithCase> {};
 
 TEST_P(ArithmeticTest, MatchesHostSemantics) {
