@@ -41,7 +41,7 @@
 // Waiting (set_adaptive): a failed wait pause-spins briefly, then yields for
 // kYieldFor, then parks on a condition variable. A producer touches the park
 // lock only when a sleeper count, read after a seq_cst fence, is non-zero,
-// so a hot request loop runs without a syscall.
+// so a hot request loop runs without a futex call.
 #pragma once
 
 #include <array>
@@ -199,9 +199,13 @@ class Mailbox {
 
  private:
   // Wait tuning: pure pause-spins, then sched_yield for kYieldFor, then park.
-  // 256 pauses take ~6 µs on a current Xeon, longer than one kvcache queue
-  // crossing, so a request loop's waits end inside the spin.
-  static constexpr std::uint32_t kPauseIters = 256;
+  // The pause run stays short (32 pauses, ~0.7 µs on a current Xeon): when
+  // the producer shares this thread's CPU — more runnable threads than CPUs —
+  // every pause delays it, and a 256-pause run (~5 µs, longer than a kvcache
+  // crossing) made two-client throughput bimodal under co-location. The
+  // yield tier covers the rest of a request loop's waits: it returns at once
+  // on an idle CPU and hands over a shared one.
+  static constexpr std::uint32_t kPauseIters = 32;
   static constexpr std::chrono::microseconds kYieldFor{50};
   // Timed waits whose remaining deadline is at most this never park: a futex
   // wake's latency is the same order as such a deadline, so parking would
