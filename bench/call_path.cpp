@@ -6,12 +6,12 @@
 // handle_request (§9.3.2's queue ablation is about exactly this cost). This
 // bench quantifies what the batched call path buys back:
 //
-//   * handle_request matrix — the kvcache request loop under both engines
-//     (treewalk/decoded) x both modes (hardened/relaxed) x both paths.
-//     "unbatched" is RecoveryOptions{max_batch=1, adaptive_wait=false,
-//     direct_dispatch=false} — the pre-PR path, bit-for-bit; "batched" is
-//     the defaults. The headline (and exit gate, >= 2x) is the decoded+
-//     hardened throughput ratio.
+//   * handle_request matrix — the kvcache request loop under both
+//     interpreters (treewalk/fused) x both modes (hardened/relaxed) x both
+//     paths. "unbatched" is RecoveryOptions{max_batch=1,
+//     adaptive_wait=false, direct_dispatch=false} — the push-per-send path,
+//     bit-for-bit; "batched" is the defaults. The headline (and exit gate,
+//     >= 2x) is the fused+hardened throughput ratio.
 //   * elision microbench — a raw ThreadRuntime spawn/ack round trip where
 //     the target color IS the caller's color (direct: served inline off the
 //     self-queue, counted in calls_elided) vs. a genuine cross-color round
@@ -54,7 +54,7 @@ constexpr std::uint64_t kDirectRounds = 100'000;
 constexpr std::uint64_t kQueuedRounds = 10'000;
 
 const char* engine_name(ExecMode mode) {
-  return mode == ExecMode::kDecoded ? "decoded" : "treewalk";
+  return mode == ExecMode::kFused ? "fused" : "treewalk";
 }
 
 struct CompiledKvcache {
@@ -197,7 +197,7 @@ void accumulate(runtime::RuntimeStats& total, const runtime::RuntimeStats::Snaps
 int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_call_path.json";
   // Diagnostic: PRIVAGIC_CALL_PATH_MATRIX=1 sweeps each knob in isolation on
-  // decoded+hardened, to attribute a regression to batching, adaptive
+  // fused+hardened, to attribute a regression to batching, adaptive
   // waiting, or direct dispatch individually.
   if (std::getenv("PRIVAGIC_CALL_PATH_MATRIX") != nullptr) {
     const CompiledKvcache h = compile_kvcache(sectype::Mode::kHardened);
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
         for (const bool dd : {false, true}) {
           struct rusage before {};
           getrusage(RUSAGE_SELF, &before);
-          const PhaseResult r = run_requests_knobs(*h.program, ExecMode::kDecoded, mb, ad, dd);
+          const PhaseResult r = run_requests_knobs(*h.program, ExecMode::kFused, mb, ad, dd);
           struct rusage after {};
           getrusage(RUSAGE_SELF, &after);
           const double vcsw = static_cast<double>(after.ru_nvcsw - before.ru_nvcsw) /
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   support::BenchJsonWriter json("call_path");
   double ratio_headline = 0.0;
 
-  for (const ExecMode engine : {ExecMode::kTreeWalk, ExecMode::kDecoded}) {
+  for (const ExecMode engine : {ExecMode::kTreeWalk, ExecMode::kFused}) {
     for (const auto* compiled : {&hardened, &relaxed}) {
       const char* mode_name = compiled == &hardened ? "hardened" : "relaxed";
       PhaseResult results[2];
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
       const double ratio = results[1].calls_per_sec() / results[0].calls_per_sec();
       std::printf("%-9s %-9s %-10s %33.2fx\n", engine_name(engine), mode_name,
                   "speedup", ratio);
-      if (engine == ExecMode::kDecoded && compiled == &hardened) ratio_headline = ratio;
+      if (engine == ExecMode::kFused && compiled == &hardened) ratio_headline = ratio;
     }
   }
 
@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(snap.batched_messages),
               static_cast<unsigned long long>(snap.batch_flushes),
               static_cast<unsigned long long>(snap.slab_highwater));
-  std::printf("handle_request throughput, decoded+hardened: %.2fx  (gate: >=2x)\n",
+  std::printf("handle_request throughput, fused+hardened: %.2fx  (gate: >=2x)\n",
               ratio_headline);
   const unsigned cpus = std::thread::hardware_concurrency();
   if (ratio_headline < 2.0 && cpus <= 1) {
@@ -316,7 +316,7 @@ int main(int argc, char** argv) {
 
   json.meta("workload", "kvcache (minicached_core)")
       .meta("request_calls", kRequestCalls)
-      .meta("batched_speedup_decoded_hardened", ratio_headline)
+      .meta("batched_speedup_fused_hardened", ratio_headline)
       .meta("direct_ns_per_call", direct_ns)
       .meta("queued_ns_per_call", queued_ns)
       .meta("msgs_per_flush_mean", snap.batch_flushes == 0

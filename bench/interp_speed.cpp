@@ -1,7 +1,7 @@
-// Interpreter throughput: the four execution tiers on the kvcache workload
-// (the Table 4 program, apps/kvcache/pir_program.hpp) — tree-walker,
-// pre-decoded register bytecode, fused superinstructions with direct-threaded
-// dispatch, and the template-JIT native tier (tiered promotion at the
+// Interpreter throughput: the three execution tiers on the kvcache workload
+// (the Table 4 program, apps/kvcache/pir_program.hpp) — tree-walker, fused
+// register bytecode (superinstructions with direct-threaded dispatch), and
+// the template-JIT native tier (tiered promotion at the
 // production threshold: the warmup block is what heats the chunks past it, so
 // this bench exercises the real promotion path, not a forced compile).
 //
@@ -15,21 +15,10 @@
 //     phase mixes interpretation with mailbox latency.
 //
 // Gates (also pinned as floors in bench/baselines.json for tools/bench_check):
-//   * decoded/treewalk background_tick instr/sec >= 5x   (the original gate)
 //   * fused/treewalk  background_tick instr/sec >= 6x    (fusion tentpole)
 //   * fused/treewalk  handle_request  instr/sec >= 1.5x  (e2e floor)
 //   * native/fused    background_tick instr/sec >= 1.4x  (JIT tentpole;
 //     skipped when the build/host has no native tier — PRIVAGIC_JIT=0)
-//
-// The fusion gate used to be fused/decoded >= 1.3x. It moved onto the
-// treewalk denominator when this host's flat-switch tier sped up ~15% from
-// code-layout shifts (adding the JIT objects to the archive; see the
-// -falign-labels note in src/interp/CMakeLists.txt): the margin between the
-// two *bytecode* tiers on a 1-vCPU box is now inside scheduler noise
-// (measured 1.0x-1.3x run to run with identical binaries), while
-// fused/treewalk sits stably at 9-10x. fused/decoded is still reported and
-// pinned as a >= 0.95x no-regression floor — fused must never lose to the
-// tier it rewrites.
 //
 // The native gate sits on background_tick for the same reason the fused
 // request gate sits below the interpretation gates (DESIGN.md §13): every
@@ -45,8 +34,7 @@
 // Each phase runs kPhaseReps times and keeps its fastest run to trim the
 // ±15% run-to-run scheduler noise of a busy 1-core host.
 //
-// Results mirror to BENCH_interp.json (all rows + decoded ratios + the full
-// metrics snapshot, including jit.compiles / jit.deopts / jit.code_bytes) and
+// Results mirror to BENCH_interp.json (all rows + the full metrics snapshot, including jit.compiles / jit.deopts / jit.code_bytes) and
 // BENCH_interp_fused.json (fused + native ratios), support/bench_json.hpp
 // schema.
 #include <chrono>
@@ -71,7 +59,7 @@ using interp::ExecMode;
 
 // 90k calls puts even the native engine's phase above 150ms: at the previous
 // 30k a bytecode-tier rep finished in ~20ms, inside a single scheduler blip,
-// and the fused/decoded and native/fused ratios swung ±10% run to run.
+// and the tier ratios swung ±10% run to run.
 constexpr std::uint64_t kBackgroundCalls = 90'000;
 // Long enough that one request phase runs ~80ms even on the fused engine:
 // shorter phases let a single scheduler blip dominate the treewalk/fused
@@ -84,18 +72,16 @@ constexpr std::uint64_t kRequestCalls = 16'000;
 // measured ratio's run-to-run spread inside the gate margin.
 constexpr int kPhaseReps = 5;
 
-constexpr double kGateDecodedOverTree = 5.0;
 constexpr double kGateFusedOverTree = 6.0;
 constexpr double kGateFusedRequestOverTree = 1.5;  // see header comment
 constexpr double kGateNativeOverFused = 1.4;       // background_tick only
 
-constexpr int kNumModes = 4;
-constexpr ExecMode kModes[kNumModes] = {ExecMode::kTreeWalk, ExecMode::kDecoded,
-                                        ExecMode::kFused, ExecMode::kNative};
+constexpr int kNumModes = 3;
+constexpr ExecMode kModes[kNumModes] = {ExecMode::kTreeWalk, ExecMode::kFused,
+                                        ExecMode::kNative};
 
 const char* mode_name(ExecMode mode) {
   switch (mode) {
-    case ExecMode::kDecoded: return "decoded";
     case ExecMode::kFused: return "fused";
     case ExecMode::kTreeWalk: return "treewalk";
     case ExecMode::kNative: return "native";
@@ -221,7 +207,7 @@ void keep_best(PhaseResult& best, const PhaseResult& r) {
 }
 
 /// Runs one phase kPhaseReps times *per engine*, interleaved round-robin
-/// (tree, decoded, fused, native, tree, ...), keeping each engine's fastest
+/// (tree, fused, native, tree, ...), keeping each engine's fastest
 /// rep. Interleaving matters on a shared box: a sustained interference window
 /// then degrades every engine's rep instead of wiping out one engine's
 /// whole sample, which is what skews a ratio.
@@ -252,7 +238,7 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry::global().reset_all();
   obs::set_metrics_enabled(true);
 
-  std::printf("== Interpreter throughput: four tiers on kvcache ==\n\n");
+  std::printf("== Interpreter throughput: three tiers on kvcache ==\n\n");
   std::printf("%-16s %-9s %12s %10s %15s %12s\n", "phase", "engine", "instructions",
               "seconds", "instr/sec", "calls/sec");
 
@@ -263,30 +249,20 @@ int main(int argc, char** argv) {
   interleaved_best(rq, [&](ExecMode mode) { return run_requests(*program, mode); });
   for (int i = 0; i < kNumModes; ++i) print_row("handle_request", kModes[i], rq[i]);
   const PhaseResult& bg_tree = bg[0];
-  const PhaseResult& bg_dec = bg[1];
-  const PhaseResult& bg_fused = bg[2];
-  const PhaseResult& bg_native = bg[3];
+  const PhaseResult& bg_fused = bg[1];
+  const PhaseResult& bg_native = bg[2];
   const PhaseResult& rq_tree = rq[0];
-  const PhaseResult& rq_dec = rq[1];
-  const PhaseResult& rq_fused = rq[2];
-  const PhaseResult& rq_native = rq[3];
+  const PhaseResult& rq_fused = rq[1];
+  const PhaseResult& rq_native = rq[2];
 
-  const double interp_ratio = bg_dec.instr_per_sec() / bg_tree.instr_per_sec();
-  const double request_ratio = rq_dec.instr_per_sec() / rq_tree.instr_per_sec();
   const double fused_interp_ratio = bg_fused.instr_per_sec() / bg_tree.instr_per_sec();
-  const double fused_over_decoded = bg_fused.instr_per_sec() / bg_dec.instr_per_sec();
   const double fused_request_ratio = rq_fused.instr_per_sec() / rq_tree.instr_per_sec();
   const double native_over_fused = bg_native.instr_per_sec() / bg_fused.instr_per_sec();
   const double native_request_over_fused =
       rq_native.instr_per_sec() / rq_fused.instr_per_sec();
 
-  std::printf("\ndecoded/treewalk interpreted throughput (background_tick): %.2fx  (gate: >=%gx)\n",
-              interp_ratio, kGateDecodedOverTree);
-  std::printf("decoded/treewalk request-loop throughput:                  %.2fx\n", request_ratio);
-  std::printf("fused/treewalk   interpreted throughput (background_tick): %.2fx  (gate: >=%gx)\n",
+  std::printf("\nfused/treewalk   interpreted throughput (background_tick): %.2fx  (gate: >=%gx)\n",
               fused_interp_ratio, kGateFusedOverTree);
-  std::printf("fused/decoded    interpreted throughput (background_tick): %.2fx  (floor pinned in baselines)\n",
-              fused_over_decoded);
   std::printf("fused/treewalk   request-loop throughput:                  %.2fx  (gate: >=%gx)\n",
               fused_request_ratio, kGateFusedRequestOverTree);
   if (jit) {
@@ -306,17 +282,12 @@ int main(int argc, char** argv) {
   json.meta("workload", "kvcache (minicached_core, hardened)")
       .meta("background_calls", kBackgroundCalls)
       .meta("request_calls", kRequestCalls)
-      .meta("jit_available", jit ? 1 : 0)
-      .meta("interp_throughput_ratio", interp_ratio)
-      .meta("request_throughput_ratio", request_ratio)
-      .meta("gate_min_ratio", kGateDecodedOverTree);
+      .meta("jit_available", jit ? 1 : 0);
   for (const auto& [phase, mode, r] :
        {std::tuple{"background_tick", ExecMode::kTreeWalk, bg_tree},
-        std::tuple{"background_tick", ExecMode::kDecoded, bg_dec},
         std::tuple{"background_tick", ExecMode::kFused, bg_fused},
         std::tuple{"background_tick", ExecMode::kNative, bg_native},
         std::tuple{"handle_request", ExecMode::kTreeWalk, rq_tree},
-        std::tuple{"handle_request", ExecMode::kDecoded, rq_dec},
         std::tuple{"handle_request", ExecMode::kFused, rq_fused},
         std::tuple{"handle_request", ExecMode::kNative, rq_native}}) {
     json.add_row()
@@ -327,12 +298,9 @@ int main(int argc, char** argv) {
         .set("instructions_per_sec", r.instr_per_sec())
         .set("calls_per_sec", r.calls_per_sec());
   }
-  // Ratio floors ride in "metrics" so bench/baselines.json can pin them
-  // (bench_check "min" entries); the structural counters — including the
-  // jit.* counters ticked by the obs hooks across every native rep — follow
-  // from the registry snapshot via embed_metrics.
-  json.metric("interp_throughput_ratio", interp_ratio)
-      .metric("request_throughput_ratio", request_ratio);
+  // The structural counters — including the jit.* counters ticked by the obs
+  // hooks across every native rep — come from the registry snapshot via
+  // embed_metrics; the ratio floors ride in BENCH_interp_fused.json below.
   obs::set_metrics_enabled(false);
   obs::embed_metrics(json);
   if (!json.write_file(json_path)) {
@@ -362,7 +330,6 @@ int main(int argc, char** argv) {
         .set("calls_per_sec", r.calls_per_sec());
   }
   fused_json.metric("fused_interp_throughput_ratio", fused_interp_ratio)
-      .metric("fused_over_decoded_interp_ratio", fused_over_decoded)
       .metric("fused_request_throughput_ratio", fused_request_ratio);
   // The native ratios are only meaningful when compiled code actually ran;
   // on PRIVAGIC_JIT=0 builds they sit at ~1.0 (native == fused) and the
@@ -382,8 +349,7 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", fused_json_path.c_str());
 
   const bool native_gate_ok = !jit || native_over_fused >= kGateNativeOverFused;
-  const bool gates_ok = interp_ratio >= kGateDecodedOverTree &&
-                        fused_interp_ratio >= kGateFusedOverTree &&
+  const bool gates_ok = fused_interp_ratio >= kGateFusedOverTree &&
                         fused_request_ratio >= kGateFusedRequestOverTree &&
                         native_gate_ok;
   return gates_ok ? 0 : 2;

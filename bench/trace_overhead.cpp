@@ -92,7 +92,7 @@ std::unique_ptr<partition::PartitionResult> compile_kvcache() {
 /// mix, same as bench/interp_speed.cpp). Returns wall seconds for the loop.
 double time_requests(const partition::PartitionResult& program) {
   auto m = std::make_unique<interp::Machine>(program, /*epc_limit_bytes=*/0,
-                                             ExecMode::kDecoded);
+                                             ExecMode::kFused);
   for (const char* boundary : {"classify", "declassify"}) {
     m->bind_external(boundary, [](interp::Machine::ExternalCtx&,
                                   std::span<const std::int64_t> a) {
@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
               kGateMaxOverheadPct, kGateMaxOverheadPct, pass ? "PASS" : "FAIL");
 
   support::BenchJsonWriter json("trace_overhead");
-  json.meta("workload", "kvcache handle_request (minicached_core, hardened, decoded)")
+  json.meta("workload", "kvcache handle_request (minicached_core, hardened, fused)")
       .meta("request_calls", kRequestCalls)
       .meta("reps", kReps)
       .meta("gate_max_overhead_pct", kGateMaxOverheadPct)

@@ -437,7 +437,7 @@ DecodedOp Decoder::decode_call(const ir::CallInst* call) {
 // ProgramCode
 // ---------------------------------------------------------------------------
 
-ProgramCode::ProgramCode(Machine& machine, bool fuse) : fused_(fuse) {
+ProgramCode::ProgramCode(Machine& machine, bool fuse) {
   // Two passes: allocate every shell first so kCallInternal targets are
   // stable pointers, then decode bodies.
   for (const auto& fn : machine.program_.module->functions()) {
@@ -469,11 +469,10 @@ ExecArena& thread_arena() {
 }  // namespace
 
 BytecodeExecutor::BytecodeExecutor(Machine& machine, runtime::ThreadRuntime& rt,
-                                   sgx::ColorId me, bool fused, bool native)
+                                   sgx::ColorId me, bool native)
     : m_(machine),
       rt_(rt),
       me_(me),
-      fused_(fused),
       native_(native && machine.jit_ != nullptr),
       arena_(thread_arena()),
       entry_sp_(arena_.sp),
@@ -483,7 +482,6 @@ BytecodeExecutor::BytecodeExecutor(Machine& machine, runtime::ThreadRuntime& rt,
 
 std::int64_t BytecodeExecutor::run(const DecodedFunction* f,
                                    std::span<const std::int64_t> args) {
-  if (!fused_) return run_switch(f, args);
   if (native_) {
     // Promotion point: enter compiled code when published; compile first if
     // the sampled hotness score crossed the machine's threshold. The load is
@@ -495,7 +493,9 @@ std::int64_t BytecodeExecutor::run(const DecodedFunction* f,
     }
     if (nc != nullptr) return run_native(f, nc, args);
   }
-  return run_fused(f, args);
+  const std::size_t base = push_frame(f, args);
+  std::vector<std::uint64_t> frame_allocas;
+  return fused_loop(f, base, 0, frame_allocas);
 }
 
 BytecodeExecutor::~BytecodeExecutor() {
@@ -584,28 +584,25 @@ void BytecodeExecutor::mem_store(std::uint64_t addr, std::int64_t value, std::ui
   std::memcpy(p, &value, size);
 }
 
-std::int64_t BytecodeExecutor::call_function(const DecodedFunction* f, const DecodedOp& o,
-                                             const std::int64_t* frame) {
-  const auto* callee = static_cast<const DecodedFunction*>(o.target);
-  std::int64_t buf[8];
-  std::vector<std::int64_t> heap;
-  std::int64_t* args = buf;
-  if (o.nargs > 8) {
-    heap.resize(o.nargs);
-    args = heap.data();
+std::int64_t BytecodeExecutor::call(const DecodedFunction* f, const DecodedOp& o,
+                                    const std::int64_t* frame) {
+  const DecodedFunction* callee = nullptr;
+  const ir::Function* external = nullptr;
+  if (o.op == Op::kCallInternal) {
+    callee = static_cast<const DecodedFunction*>(o.target);
+  } else if (o.op == Op::kCallExternal) {
+    external = static_cast<const ir::Function*>(o.target);
+  } else {
+    auto it = m_.token_fn_.find(frame[o.a]);
+    if (it == m_.token_fn_.end()) {
+      throw InterpError("indirect call through a non-function pointer");
+    }
+    if (it->second->is_declaration()) {
+      external = it->second;
+    } else {
+      callee = m_.code_->get(it->second);
+    }
   }
-  const std::uint32_t* slots = f->arg_pool.data() + o.args_first;
-  for (std::uint16_t i = 0; i < o.nargs; ++i) args[i] = frame[slots[i]];
-  return run(callee, std::span<const std::int64_t>(args, o.nargs));
-}
-
-std::int64_t BytecodeExecutor::call_indirect(const DecodedFunction* f, const DecodedOp& o,
-                                             const std::int64_t* frame) {
-  auto it = m_.token_fn_.find(frame[o.a]);
-  if (it == m_.token_fn_.end()) {
-    throw InterpError("indirect call through a non-function pointer");
-  }
-  const ir::Function* callee = it->second;
   std::int64_t buf[8];
   std::vector<std::int64_t> heap;
   std::int64_t* args = buf;
@@ -616,275 +613,11 @@ std::int64_t BytecodeExecutor::call_indirect(const DecodedFunction* f, const Dec
   const std::uint32_t* slots = f->arg_pool.data() + o.args_first;
   for (std::uint16_t i = 0; i < o.nargs; ++i) args[i] = frame[slots[i]];
   const std::span<const std::int64_t> view(args, o.nargs);
-  if (!callee->is_declaration()) {
-    const DecodedFunction* df = m_.code_->get(callee);
-    return run(df, view);
-  }
+  if (callee != nullptr) return run(callee, view);
   // Flush point: external code may depend on messages batched but not yet
   // delivered (same rule as the tree-walker's dispatch()).
   rt_.flush_current();
-  return m_.call_external(callee, view, me_);
-}
-
-std::int64_t BytecodeExecutor::run_switch(const DecodedFunction* f,
-                                          std::span<const std::int64_t> args) {
-  const std::size_t base = push_frame(f, args);
-  std::int64_t* frame = arena_.stack.data() + base;
-
-  std::vector<std::uint64_t> frame_allocas;
-  const DecodedOp* ops = f->ops.data();
-  std::uint32_t pc = 0;
-  std::int64_t result = 0;
-
-  for (;;) {
-    const DecodedOp& o = ops[pc];
-    ++pc;
-    ++pending_;
-    if (tally_ != nullptr) tally_->touch(o.op);
-    switch (o.op) {
-      case Op::kTrap:
-        if (o.a == 0) --pending_;  // synthetic op, not a real instruction
-        throw InterpError(f->traps[static_cast<std::size_t>(o.imm)]);
-      case Op::kAlloca: {
-        const std::uint64_t addr = m_.memory_->allocate(
-            static_cast<std::uint64_t>(o.imm), static_cast<sgx::ColorId>(o.b));
-        frame_allocas.push_back(addr);
-        frame[o.dest] = static_cast<std::int64_t>(addr);
-        break;
-      }
-      case Op::kHeapAlloc:
-        frame[o.dest] = static_cast<std::int64_t>(m_.memory_->allocate(
-            static_cast<std::uint64_t>(o.imm), static_cast<sgx::ColorId>(o.b)));
-        break;
-      case Op::kHeapFree:
-        m_.memory_->free(static_cast<std::uint64_t>(frame[o.a]), me_);
-        break;
-      case Op::kLoad: {
-        std::int64_t v = mem_load(static_cast<std::uint64_t>(frame[o.a]),
-                                  static_cast<std::uint64_t>(o.imm), o.sub);
-        if ((o.flags & kAuthPointer) != 0 &&
-            m_.pointer_auth_.load(std::memory_order_relaxed) && v != 0) {
-          const auto raw = static_cast<std::uint64_t>(v);
-          const std::uint64_t addr = raw & ((1ull << 48) - 1);
-          if ((raw & ~((1ull << 48) - 1)) != pointer_mac(addr, Machine::kPointerAuthSecret)) {
-            throw sgx::AccessViolation("pointer authentication failed on load");
-          }
-          v = static_cast<std::int64_t>(addr);
-        }
-        frame[o.dest] = v;
-        break;
-      }
-      case Op::kStore: {
-        std::int64_t v = frame[o.b];
-        if ((o.flags & kAuthPointer) != 0 &&
-            m_.pointer_auth_.load(std::memory_order_relaxed) && v != 0) {
-          const auto addr = static_cast<std::uint64_t>(v);
-          v = static_cast<std::int64_t>(addr | pointer_mac(addr, Machine::kPointerAuthSecret));
-        }
-        mem_store(static_cast<std::uint64_t>(frame[o.a]), v,
-                  static_cast<std::uint64_t>(o.imm));
-        break;
-      }
-      case Op::kGepField:
-        frame[o.dest] = static_cast<std::int64_t>(static_cast<std::uint64_t>(frame[o.a]) +
-                                                  static_cast<std::uint64_t>(o.imm));
-        break;
-      case Op::kGepIndex:
-        frame[o.dest] = static_cast<std::int64_t>(
-            static_cast<std::uint64_t>(frame[o.a]) +
-            static_cast<std::uint64_t>(o.imm) * static_cast<std::uint64_t>(frame[o.b]));
-        break;
-      case Op::kAdd:
-        frame[o.dest] = wrap(frame[o.a] + frame[o.b], o.sub);
-        break;
-      case Op::kSub:
-        frame[o.dest] = wrap(frame[o.a] - frame[o.b], o.sub);
-        break;
-      case Op::kMul:
-        frame[o.dest] = wrap(frame[o.a] * frame[o.b], o.sub);
-        break;
-      case Op::kSDiv:
-        if (frame[o.b] == 0) throw InterpError("division by zero");
-        frame[o.dest] = wrap(frame[o.a] / frame[o.b], o.sub);
-        break;
-      case Op::kSRem:
-        if (frame[o.b] == 0) throw InterpError("remainder by zero");
-        frame[o.dest] = wrap(frame[o.a] % frame[o.b], o.sub);
-        break;
-      case Op::kAnd:
-        frame[o.dest] = frame[o.a] & frame[o.b];
-        break;
-      case Op::kOr:
-        frame[o.dest] = frame[o.a] | frame[o.b];
-        break;
-      case Op::kXor:
-        frame[o.dest] = frame[o.a] ^ frame[o.b];
-        break;
-      case Op::kShl:
-        frame[o.dest] = wrap(static_cast<std::int64_t>(static_cast<std::uint64_t>(frame[o.a])
-                                                       << (frame[o.b] & 63)),
-                             o.sub);
-        break;
-      case Op::kLShr: {
-        std::uint64_t ua = static_cast<std::uint64_t>(frame[o.a]);
-        if (o.sub != 0) ua &= (1ull << o.sub) - 1;
-        frame[o.dest] = static_cast<std::int64_t>(ua >> (frame[o.b] & 63));
-        break;
-      }
-      case Op::kFAdd:
-        frame[o.dest] = from_double(as_double(frame[o.a]) + as_double(frame[o.b]));
-        break;
-      case Op::kFSub:
-        frame[o.dest] = from_double(as_double(frame[o.a]) - as_double(frame[o.b]));
-        break;
-      case Op::kFMul:
-        frame[o.dest] = from_double(as_double(frame[o.a]) * as_double(frame[o.b]));
-        break;
-      case Op::kFDiv:
-        frame[o.dest] = from_double(as_double(frame[o.a]) / as_double(frame[o.b]));
-        break;
-      case Op::kEq:
-        frame[o.dest] = frame[o.a] == frame[o.b] ? 1 : 0;
-        break;
-      case Op::kNe:
-        frame[o.dest] = frame[o.a] != frame[o.b] ? 1 : 0;
-        break;
-      case Op::kSlt:
-        frame[o.dest] = frame[o.a] < frame[o.b] ? 1 : 0;
-        break;
-      case Op::kSle:
-        frame[o.dest] = frame[o.a] <= frame[o.b] ? 1 : 0;
-        break;
-      case Op::kSgt:
-        frame[o.dest] = frame[o.a] > frame[o.b] ? 1 : 0;
-        break;
-      case Op::kSge:
-        frame[o.dest] = frame[o.a] >= frame[o.b] ? 1 : 0;
-        break;
-      case Op::kZext:
-        frame[o.dest] = static_cast<std::int64_t>(static_cast<std::uint64_t>(frame[o.a]) &
-                                                  ((1ull << o.sub) - 1));
-        break;
-      case Op::kTrunc:
-        frame[o.dest] = sign_extend(static_cast<std::uint64_t>(frame[o.a]), o.sub);
-        break;
-      case Op::kCopy:
-        frame[o.dest] = frame[o.a];
-        break;
-      // Mailbox ops flush the batched counter up front: a worker that parks
-      // in wait() (or hands off control with spawn/cont/ack) must have
-      // charged everything it executed, so instructions_executed() agrees
-      // with the tree-walker at every quiescent point — not just after this
-      // executor unwinds. The flush is one relaxed fetch_add against ops
-      // that already take a mutex + condvar.
-      case Op::kSpawn: {
-        flush_counter();
-        const std::uint32_t* slots = f->arg_pool.data() + o.args_first;
-        const std::int64_t chunk = frame[slots[0]];
-        const std::int64_t color =
-            (o.flags & kSpawnResolved) != 0
-                ? o.imm
-                : m_.program_.color_id(
-                      m_.program_.chunks.at(static_cast<std::size_t>(chunk)).color);
-        rt_.spawn(color, static_cast<std::uint64_t>(chunk), frame[slots[1]],
-                  frame[slots[2]], frame[slots[3]]);
-        // A same-color spawn runs the chunk inline on this thread; its
-        // executor shares the arena, which may have reallocated.
-        frame = arena_.stack.data() + base;
-        if ((o.flags & kHasResult) != 0) frame[o.dest] = 0;
-        break;
-      }
-      case Op::kCont: {
-        flush_counter();
-        const std::uint32_t* slots = f->arg_pool.data() + o.args_first;
-        rt_.cont(frame[slots[0]], frame[slots[1]], frame[slots[2]]);
-        if ((o.flags & kHasResult) != 0) frame[o.dest] = 0;
-        break;
-      }
-      case Op::kWait: {
-        flush_counter();
-        const std::int64_t r =
-            rt_.wait(static_cast<std::size_t>(me_), frame[f->arg_pool[o.args_first]]);
-        if ((o.flags & kHasResult) != 0) frame[o.dest] = r;
-        break;
-      }
-      case Op::kAck: {
-        flush_counter();
-        const std::uint32_t* slots = f->arg_pool.data() + o.args_first;
-        rt_.ack(frame[slots[0]], frame[slots[1]]);
-        if ((o.flags & kHasResult) != 0) frame[o.dest] = 0;
-        break;
-      }
-      case Op::kWaitAck:
-        flush_counter();
-        rt_.wait_ack(static_cast<std::size_t>(me_), frame[f->arg_pool[o.args_first]]);
-        if ((o.flags & kHasResult) != 0) frame[o.dest] = 0;
-        break;
-      case Op::kCallInternal: {
-        const std::int64_t r = call_function(f, o, frame);
-        frame = arena_.stack.data() + base;  // nested frames may have grown the arena
-        if ((o.flags & kHasResult) != 0) frame[o.dest] = r;
-        break;
-      }
-      case Op::kCallExternal: {
-        const std::uint32_t* slots = f->arg_pool.data() + o.args_first;
-        std::int64_t buf[8];
-        std::vector<std::int64_t> heap;
-        std::int64_t* call_args = buf;
-        if (o.nargs > 8) {
-          heap.resize(o.nargs);
-          call_args = heap.data();
-        }
-        for (std::uint16_t i = 0; i < o.nargs; ++i) call_args[i] = frame[slots[i]];
-        rt_.flush_current();  // flush point: leaving the runtime's control
-        const std::int64_t r =
-            m_.call_external(static_cast<const ir::Function*>(o.target),
-                             std::span<const std::int64_t>(call_args, o.nargs), me_);
-        // The host callback may have re-entered the machine on this thread
-        // (nested executors share the arena).
-        frame = arena_.stack.data() + base;
-        if ((o.flags & kHasResult) != 0) frame[o.dest] = r;
-        break;
-      }
-      case Op::kCallIndirect: {
-        const std::int64_t r = call_indirect(f, o, frame);
-        frame = arena_.stack.data() + base;
-        if ((o.flags & kHasResult) != 0) frame[o.dest] = r;
-        break;
-      }
-      case Op::kBr:
-        if ((o.flags & kBadEdge0) != 0) throw InterpError(f->traps[o.phi0]);
-        apply_phi_copies(f, o.phi0, o.nphi0, frame);
-        pc = o.t0;
-        if (pending_ >= kCountFlushBatch) flush_counter();
-        break;
-      case Op::kCondBr:
-        if ((frame[o.a] & 1) != 0) {
-          if ((o.flags & kBadEdge0) != 0) throw InterpError(f->traps[o.phi0]);
-          apply_phi_copies(f, o.phi0, o.nphi0, frame);
-          pc = o.t0;
-        } else {
-          if ((o.flags & kBadEdge1) != 0) throw InterpError(f->traps[o.phi1]);
-          apply_phi_copies(f, o.phi1, o.nphi1, frame);
-          pc = o.t1;
-        }
-        if (pending_ >= kCountFlushBatch) flush_counter();
-        break;
-      case Op::kRet:
-        result = (o.flags & kHasResult) != 0 ? frame[o.a] : 0;
-        // Stack allocations die on normal return only; an unwinding frame
-        // leaks them exactly like the tree-walker.
-        for (const std::uint64_t addr : frame_allocas) {
-          m_.memory_->free(addr, m_.memory_->color_of(addr));
-        }
-        arena_.sp = base;
-        return result;
-      default:
-        // Superinstructions never appear in unfused code (ProgramCode is
-        // built with fuse=false for ExecMode::kDecoded).
-        throw InterpError("superinstruction in unfused bytecode");
-    }
-  }
+  return m_.call_external(external, view, me_);
 }
 
 }  // namespace privagic::interp::bc

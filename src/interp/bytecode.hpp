@@ -9,8 +9,9 @@
 // operand slots, immediates (sizes, field offsets, sign-extension widths),
 // branch targets as instruction indices, pre-resolved global addresses and
 // function tokens, and phi nodes compiled into per-edge parallel copies.
-// Execution is then a flat switch over a std::vector<DecodedOp> with the
-// frame as a plain int64 array slice of a reused stack arena.
+// fusion.cpp then rewrites adjacent pairs into superinstructions, and
+// fused.cpp's one dispatch loop executes the stream with the frame as a plain
+// int64 array slice of a reused stack arena.
 //
 // Frame layout per function: [arguments][instruction results][constants].
 // The constant tail is memcpy'd from the function's pool at entry, so every
@@ -80,7 +81,7 @@ enum class Op : std::uint8_t {
   kBr,          // jump t0 after phi copies [phi0, phi0+nphi0)
   kCondBr,      // frame[a] & 1 ? t0/phi0 : t1/phi1
   kRet,         // return frame[a] if kHasResult else 0
-  // -- superinstructions (decode-time fusion, ExecMode::kFused only) ----------
+  // -- superinstructions (decode-time fusion; absent from unfused listings) ---
   // Each fuses two adjacent ops whose intermediate value is single-use; the
   // handlers count two instructions (staged, so a fault in either component
   // leaves the same instruction count as the unfused pair). See fusion.cpp
@@ -227,8 +228,9 @@ void fuse_function(DecodedFunction& df);
 /// targets against that machine's address space.
 class ProgramCode {
  public:
-  /// @p fuse runs the superinstruction fusion pass over every body
-  /// (ExecMode::kFused); plain decode otherwise.
+  /// @p fuse runs the superinstruction fusion pass over every body — every
+  /// executing Machine does. Plain decode (fuse=false) is a lowering stage
+  /// only: --dump-bytecode prints it, and nothing executes it.
   explicit ProgramCode(Machine& machine, bool fuse = false);
   ProgramCode(const ProgramCode&) = delete;
   ProgramCode& operator=(const ProgramCode&) = delete;
@@ -239,9 +241,6 @@ class ProgramCode {
     return it != functions_.end() ? it->second.get() : nullptr;
   }
 
-  /// Whether the fusion pass ran over this program.
-  [[nodiscard]] bool fused() const { return fused_; }
-
   /// Every decoded body, keyed by IR function (iteration for --dump-bytecode).
   [[nodiscard]] const std::map<const ir::Function*, std::unique_ptr<DecodedFunction>>&
   functions() const {
@@ -250,7 +249,6 @@ class ProgramCode {
 
  private:
   std::map<const ir::Function*, std::unique_ptr<DecodedFunction>> functions_;
-  bool fused_ = false;
 };
 
 class DispatchTally;
@@ -272,17 +270,15 @@ struct ExecArena {
 // compiled flush checks.
 inline constexpr std::uint64_t kCountFlushBatch = 8192;
 
-/// Runs decoded functions on the current thread. One instance per chunk /
+/// Runs fused bytecode on the current thread. One instance per chunk /
 /// interface invocation; nested direct calls reuse the same stack arena and
 /// the same one-entry memory-region cache.
 class BytecodeExecutor {
  public:
-  /// @p fused selects the direct-threaded superinstruction loop (the code
-  /// must have been built with ProgramCode(…, fuse=true)); @p native
-  /// additionally allows promotion of hot functions to compiled code
-  /// (ExecMode::kNative; implies fused code).
+  /// @p native allows promotion of hot functions to compiled code
+  /// (ExecMode::kNative); otherwise every body runs on fused_loop.
   BytecodeExecutor(Machine& machine, runtime::ThreadRuntime& rt, sgx::ColorId me,
-                   bool fused = false, bool native = false);
+                   bool native = false);
   ~BytecodeExecutor();
   BytecodeExecutor(const BytecodeExecutor&) = delete;
   BytecodeExecutor& operator=(const BytecodeExecutor&) = delete;
@@ -294,15 +290,12 @@ class BytecodeExecutor {
   std::int64_t run(const DecodedFunction* f, std::span<const std::int64_t> args);
 
  private:
-  /// The flat-switch loop over unfused code (ExecMode::kDecoded).
-  std::int64_t run_switch(const DecodedFunction* f, std::span<const std::int64_t> args);
-  /// The direct-threaded loop (computed goto where available, portable
-  /// switch otherwise) over fused code (ExecMode::kFused); fused.cpp.
-  std::int64_t run_fused(const DecodedFunction* f, std::span<const std::int64_t> args);
-  /// The body of run_fused from @p start_pc with the frame already pushed at
-  /// @p base — the deopt re-entry point: native code that bails mid-call
-  /// resumes here with the same frame, pending count and live allocas, so
-  /// results and instruction counts are identical to never having compiled.
+  /// The direct-threaded dispatch loop (computed goto where available,
+  /// portable switch otherwise) over @p f's fused code, from @p start_pc with
+  /// the frame already pushed at @p base. Also the deopt re-entry point:
+  /// native code that bails mid-call resumes here with the same frame,
+  /// pending count and live allocas, so results and instruction counts are
+  /// identical to never having compiled.
   std::int64_t fused_loop(const DecodedFunction* f, std::size_t base,
                           std::uint32_t start_pc,
                           std::vector<std::uint64_t>& frame_allocas);
@@ -310,7 +303,7 @@ class BytecodeExecutor {
   /// per-chunk hotness for JIT promotion. kFused machines take the false
   /// instantiation, where the hot pointer constant-folds away and the
   /// dispatch loop is register-for-register the pre-JIT loop — measured ~9%
-  /// on background_tick, which the fused/decoded gate does not have to spare.
+  /// on background_tick.
   template <bool kTrackHot>
   std::int64_t fused_loop_impl(const DecodedFunction* f, std::size_t base,
                                std::uint32_t start_pc,
@@ -335,15 +328,22 @@ class BytecodeExecutor {
   /// Adds pending_ to the machine-wide counter and enforces the budget.
   void flush_counter();
 
-  std::int64_t call_function(const DecodedFunction* f, const DecodedOp& o,
-                             const std::int64_t* frame);
-  std::int64_t call_indirect(const DecodedFunction* f, const DecodedOp& o,
-                             const std::int64_t* frame);
+  /// Executes one of the eight ops that leave this frame: spawn, cont, wait,
+  /// ack, wait_ack and the three calls. The one handler for them, shared by
+  /// fused_loop (one instantiation per opcode, inlined into its handler) and
+  /// the native tier's big_op thunk (through the untemplated overload). See
+  /// fused.cpp for the frame rule every caller must follow afterwards.
+  template <Op kOp>
+  void runtime_op(const DecodedFunction* f, const DecodedOp& o, std::size_t base);
+  void runtime_op(const DecodedFunction* f, const DecodedOp& o, std::size_t base);
+  /// The call half of runtime_op: resolves the callee (internal, external or
+  /// indirect), gathers the arguments from @p frame and runs it.
+  std::int64_t call(const DecodedFunction* f, const DecodedOp& o,
+                    const std::int64_t* frame);
 
   Machine& m_;
   runtime::ThreadRuntime& rt_;
   sgx::ColorId me_;
-  const bool fused_;
   const bool native_;
   sgx::SimMemory::RegionHandle cache_;
   ExecArena& arena_;        // this thread's shared frame stack

@@ -258,8 +258,12 @@ std::string disassemble_program(const Machine& machine) {
   if (code == nullptr) {
     throw std::runtime_error("no bytecode to disassemble (tree-walk machine)");
   }
+  return disassemble_program(*code);
+}
+
+std::string disassemble_program(const ProgramCode& code) {
   std::string out;
-  for (const auto& [fn, df] : code->functions()) {
+  for (const auto& [fn, df] : code.functions()) {
     (void)fn;
     out += disassemble(*df);
     out += "\n";

@@ -55,9 +55,6 @@ class DispatchTally {
     return &tally;
   }
 
-  /// Per-opcode sampling only (kDecoded / kFused dispatch loops).
-  void touch(Op op) { touch(op, nullptr); }
-
   /// Per-opcode + per-chunk sampling: a period hit also charges kPeriod to
   /// @p hot, the executing function's hotness score (null = not tracked —
   /// the function is already compiled, or the machine is not kNative).

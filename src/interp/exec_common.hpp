@@ -1,7 +1,8 @@
-// Helpers shared by the bytecode execution loops — run_switch (bytecode.cpp)
-// and run_fused (fused.cpp). Both engines must agree bit-for-bit on value
-// semantics and byte-for-byte on error messages (the equivalence tests diff
-// them against the tree-walker), so the definitions live in one place.
+// Value helpers shared by the bytecode code paths — fused_loop (fused.cpp),
+// the native tier's thunks (native.cpp) and the decoder. They must agree
+// bit-for-bit on value semantics and byte-for-byte on error messages with the
+// tree-walker (the equivalence tests diff them), so the definitions live in
+// one place.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +70,7 @@ inline void apply_phi_copies(const DecodedFunction* f, std::uint32_t first,
 }
 
 /// One non-faulting integer binop / unary kind by opcode, exactly as the
-/// unfused handlers compute it. `bits` is the op's own sub field: wrap width
+/// base-op handlers compute it. `bits` is the op's own sub field: wrap width
 /// for add/sub/mul/shl, source mask for lshr, source/dest bits for
 /// zext/trunc, ignored by the pure bitwise ops and kCopy.
 inline std::int64_t eval_bin(Op kind, std::int64_t x, std::int64_t y, unsigned bits) {

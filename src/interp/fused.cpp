@@ -1,6 +1,7 @@
-// The fused execution tier's dispatch loop (ExecMode::kFused).
+// The bytecode tier's one dispatch loop (ExecMode::kFused, and the deopt
+// re-entry point of ExecMode::kNative).
 //
-// run_fused() executes fusion.cpp's superinstruction bytecode with
+// fused_loop() executes fusion.cpp's superinstruction bytecode with
 // direct-threaded dispatch: on GCC/Clang each handler ends by indexing a
 // labels-as-values table with the *next* op's opcode and jumping straight to
 // its handler (one indirect branch per op, predicted per-handler instead of
@@ -10,15 +11,16 @@
 // between the two builds, so both are continuously testable (the CI
 // portable-dispatch job builds with the fallback).
 //
-// Observable behavior is bit-identical to run_switch over unfused code:
+// Observable behavior is bit-identical to the tree-walker:
 //  * instruction accounting: the dispatch preamble charges one instruction,
 //    and each superinstruction handler charges its second component exactly
 //    where the unfused pair would have (before executing it), so a fault in
 //    either component leaves the tree-walker's count;
 //  * flush semantics: mailbox ops flush up front, branches flush on the
-//    kCountFlushBatch threshold — same sites, same pending values;
+//    kCountFlushBatch threshold;
 //  * error messages and fault points (region checks, bad phi edges, traps,
-//    pointer auth, division) are shared with run_switch via exec_common.hpp.
+//    pointer auth, division) match the walker's (the value helpers live in
+//    exec_common.hpp).
 #include <cstring>
 
 #include "interp/bytecode.hpp"
@@ -38,11 +40,68 @@
 
 namespace privagic::interp::bc {
 
-std::int64_t BytecodeExecutor::run_fused(const DecodedFunction* f,
-                                         std::span<const std::int64_t> args) {
-  const std::size_t base = push_frame(f, args);
-  std::vector<std::uint64_t> frame_allocas;
-  return fused_loop(f, base, 0, frame_allocas);
+// The frame rule. While a runtime op is away, this thread may run other
+// executors on the same arena: a nested call, a same-color spawn served
+// inline, a spawn that wait/wait_ack serves while the reply is outstanding,
+// a host callback that re-enters the machine. Their frames can grow the
+// arena's vector, which moves it. So runtime_op reads its operands before
+// handing off control and writes its result only through a frame re-derived
+// from arena_ afterwards — and every caller reloads its own frame pointer
+// from arena_ after runtime_op returns.
+template <Op kOp>
+void BytecodeExecutor::runtime_op(const DecodedFunction* f, const DecodedOp& o,
+                                  std::size_t base) {
+  const std::int64_t* frame = arena_.stack.data() + base;
+  const std::uint32_t* slots = f->arg_pool.data() + o.args_first;
+  std::int64_t r = 0;
+  // Mailbox ops flush the batched counter up front: a worker that parks in
+  // wait() (or hands off control with spawn/cont/ack) must have charged
+  // everything it executed, so instructions_executed() agrees with the
+  // tree-walker at every quiescent point — not just after this executor
+  // unwinds.
+  if constexpr (kOp == Op::kSpawn) {
+    flush_counter();
+    const std::int64_t chunk = frame[slots[0]];
+    const std::int64_t color =
+        (o.flags & kSpawnResolved) != 0
+            ? o.imm
+            : m_.program_.color_id(
+                  m_.program_.chunks.at(static_cast<std::size_t>(chunk)).color);
+    rt_.spawn(color, static_cast<std::uint64_t>(chunk), frame[slots[1]], frame[slots[2]],
+              frame[slots[3]]);
+  } else if constexpr (kOp == Op::kCont) {
+    flush_counter();
+    rt_.cont(frame[slots[0]], frame[slots[1]], frame[slots[2]]);
+  } else if constexpr (kOp == Op::kWait) {
+    flush_counter();
+    r = rt_.wait(static_cast<std::size_t>(me_), frame[slots[0]]);
+  } else if constexpr (kOp == Op::kAck) {
+    flush_counter();
+    rt_.ack(frame[slots[0]], frame[slots[1]]);
+  } else if constexpr (kOp == Op::kWaitAck) {
+    flush_counter();
+    rt_.wait_ack(static_cast<std::size_t>(me_), frame[slots[0]]);
+  } else {
+    static_assert(kOp == Op::kCallInternal || kOp == Op::kCallExternal ||
+                  kOp == Op::kCallIndirect);
+    r = call(f, o, frame);
+  }
+  if ((o.flags & kHasResult) != 0) arena_.stack[base + o.dest] = r;
+}
+
+void BytecodeExecutor::runtime_op(const DecodedFunction* f, const DecodedOp& o,
+                                  std::size_t base) {
+  switch (o.op) {
+    case Op::kSpawn: return runtime_op<Op::kSpawn>(f, o, base);
+    case Op::kCont: return runtime_op<Op::kCont>(f, o, base);
+    case Op::kWait: return runtime_op<Op::kWait>(f, o, base);
+    case Op::kAck: return runtime_op<Op::kAck>(f, o, base);
+    case Op::kWaitAck: return runtime_op<Op::kWaitAck>(f, o, base);
+    case Op::kCallInternal: return runtime_op<Op::kCallInternal>(f, o, base);
+    case Op::kCallExternal: return runtime_op<Op::kCallExternal>(f, o, base);
+    case Op::kCallIndirect: return runtime_op<Op::kCallIndirect>(f, o, base);
+    default: throw InterpError("runtime_op on unexpected opcode");
+  }
 }
 
 std::int64_t BytecodeExecutor::fused_loop(const DecodedFunction* f, std::size_t base,
@@ -276,90 +335,24 @@ std::int64_t BytecodeExecutor::fused_loop_impl(
       OPCASE(kCopy) { frame[o->dest] = frame[o->a]; }
       NEXT();
 
-      // Mailbox ops flush the batched counter up front — see run_switch for
-      // the rationale (quiescent-point agreement with the tree-walker).
-      OPCASE(kSpawn) {
-        flush_counter();
-        const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
-        const std::int64_t chunk = frame[slots[0]];
-        const std::int64_t color =
-            (o->flags & kSpawnResolved) != 0
-                ? o->imm
-                : m_.program_.color_id(
-                      m_.program_.chunks.at(static_cast<std::size_t>(chunk)).color);
-        rt_.spawn(color, static_cast<std::uint64_t>(chunk), frame[slots[1]],
-                  frame[slots[2]], frame[slots[3]]);
-        // A same-color spawn runs the chunk inline on this thread; its
-        // executor shares the arena, which may have reallocated.
-        frame = arena_.stack.data() + base;
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
-      }
-      NEXT();
-
-      OPCASE(kCont) {
-        flush_counter();
-        const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
-        rt_.cont(frame[slots[0]], frame[slots[1]], frame[slots[2]]);
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
-      }
-      NEXT();
-
-      OPCASE(kWait) {
-        flush_counter();
-        const std::int64_t r =
-            rt_.wait(static_cast<std::size_t>(me_), frame[f->arg_pool[o->args_first]]);
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = r;
-      }
-      NEXT();
-
-      OPCASE(kAck) {
-        flush_counter();
-        const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
-        rt_.ack(frame[slots[0]], frame[slots[1]]);
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
-      }
-      NEXT();
-
-      OPCASE(kWaitAck) {
-        flush_counter();
-        rt_.wait_ack(static_cast<std::size_t>(me_), frame[f->arg_pool[o->args_first]]);
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
-      }
-      NEXT();
-
-      OPCASE(kCallInternal) {
-        const std::int64_t r = call_function(f, *o, frame);
-        frame = arena_.stack.data() + base;  // nested frames may have grown the arena
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = r;
-      }
-      NEXT();
-
-      OPCASE(kCallExternal) {
-        const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
-        std::int64_t buf[8];
-        std::vector<std::int64_t> heap;
-        std::int64_t* call_args = buf;
-        if (o->nargs > 8) {
-          heap.resize(o->nargs);
-          call_args = heap.data();
-        }
-        for (std::uint16_t i = 0; i < o->nargs; ++i) call_args[i] = frame[slots[i]];
-        rt_.flush_current();  // flush point: leaving the runtime's control
-        const std::int64_t r =
-            m_.call_external(static_cast<const ir::Function*>(o->target),
-                             std::span<const std::int64_t>(call_args, o->nargs), me_);
-        // The host callback may have re-entered the machine on this thread.
-        frame = arena_.stack.data() + base;
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = r;
-      }
-      NEXT();
-
-      OPCASE(kCallIndirect) {
-        const std::int64_t r = call_indirect(f, *o, frame);
-        frame = arena_.stack.data() + base;
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = r;
-      }
-      NEXT();
+      // Ops that leave this frame share one handler with the native tier.
+      // It may run other executors on this thread's arena, so the frame
+      // pointer is reloaded after it (the frame rule above runtime_op).
+#define RUNTIME_OPCASE(name)                  \
+  OPCASE(name) {                              \
+    runtime_op<Op::name>(f, *o, base);        \
+    frame = arena_.stack.data() + base;       \
+  }                                           \
+  NEXT();
+      RUNTIME_OPCASE(kSpawn)
+      RUNTIME_OPCASE(kCont)
+      RUNTIME_OPCASE(kWait)
+      RUNTIME_OPCASE(kAck)
+      RUNTIME_OPCASE(kWaitAck)
+      RUNTIME_OPCASE(kCallInternal)
+      RUNTIME_OPCASE(kCallExternal)
+      RUNTIME_OPCASE(kCallIndirect)
+#undef RUNTIME_OPCASE
 
       OPCASE(kBr) {
         if ((o->flags & kBadEdge0) != 0) throw InterpError(f->traps[o->phi0]);

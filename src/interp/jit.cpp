@@ -19,7 +19,7 @@
 // emitter tracks how many ops the current straight-line region has executed
 // (`since_`) and materializes it into r13 at every point where the count can
 // become observable — before a helper that can fault (including the current
-// op's components charged exactly where run_fused charges them), at every
+// op's components charged exactly where fused_loop charges them), at every
 // branch (followed by the same kCountFlushBatch budget check), at returns,
 // and at deopt exits (excluding the unexecuted op, which the resumed
 // interpreter will charge itself). Branch targets are sync points on entry,

@@ -19,7 +19,7 @@
 //    exception into the NativeCtx and returns; the native frame unwinds by
 //    plain `ret` (no EH tables needed in emitted code) and the shell
 //    rethrows — typed kEpcExhausted and access faults surface exactly as
-//    from run_fused.
+//    from fused_loop.
 //  * Ops outside the template set — kTrap, faulting sdiv/srem, kAuthPointer
 //    loads/stores, branches with bad phi edges — compile into deopt exits:
 //    the code syncs the instruction count (excluding the unexecuted op),

@@ -442,13 +442,11 @@ Machine::Machine(const partition::PartitionResult& program, std::uint64_t epc_li
     ++next_token;
   }
 
-  // Decode after globals and tokens exist: operand lowering bakes their
-  // addresses into the per-function constant pools. kFused (and kNative,
-  // which compiles the fused op stream) additionally runs the
-  // superinstruction fusion pass over every body.
+  // Decode and fuse after globals and tokens exist: operand lowering bakes
+  // their addresses into the per-function constant pools. kNative compiles
+  // the same fused op stream.
   if (mode_ != ExecMode::kTreeWalk) {
-    code_ = std::make_unique<bc::ProgramCode>(
-        *this, /*fuse=*/mode_ == ExecMode::kFused || mode_ == ExecMode::kNative);
+    code_ = std::make_unique<bc::ProgramCode>(*this, /*fuse=*/true);
   }
   if (mode_ == ExecMode::kNative && bc::jit_available()) {
     jit_ = std::make_unique<bc::JitEngine>();
@@ -707,9 +705,7 @@ std::int64_t Machine::exec_function(runtime::ThreadRuntime& rt, const ir::Functi
   if (mode_ != ExecMode::kTreeWalk) {
     const bc::DecodedFunction* df = code_->get(fn);
     if (df == nullptr) throw InterpError("cannot execute declaration @" + fn->name());
-    bc::BytecodeExecutor exec(*this, rt, me,
-                              /*fused=*/mode_ != ExecMode::kDecoded,
-                              /*native=*/mode_ == ExecMode::kNative);
+    bc::BytecodeExecutor exec(*this, rt, me, /*native=*/mode_ == ExecMode::kNative);
     return exec.run(df, args);
   }
   Executor exec(*this, rt, me);

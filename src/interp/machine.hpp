@@ -57,17 +57,17 @@ struct NativeCode;
 
 /// Which engine executes function bodies (DESIGN.md §13, §16). kFused is the
 /// default: superinstruction-fused register bytecode on a direct-threaded
-/// dispatch loop (src/interp/fusion.cpp, fused.cpp). kDecoded keeps the
-/// unfused bytecode on the flat switch loop (src/interp/bytecode.cpp), and
-/// kTreeWalk the original AST walker — both stay as differential-testing
-/// oracles (tests/interp_equiv_test.cpp runs every program under all four).
-/// kNative runs the fused tier plus tiered promotion: functions whose
-/// per-chunk hotness score crosses the machine's threshold are template-JIT
-/// compiled to x86-64 (src/interp/jit.cpp) and entered natively from then on,
-/// deopting back to the fused loop for unsupported ops. On hosts without the
-/// PRIVAGIC_JIT probe, kNative degrades to kFused semantics (and identical
-/// results — that is the point of the 4-way equivalence matrix).
-enum class ExecMode { kDecoded, kTreeWalk, kFused, kNative };
+/// dispatch loop (src/interp/fusion.cpp, fused.cpp) — the bytecode tier's one
+/// loop. kTreeWalk is the original AST walker, kept as the reference oracle
+/// (tests/interp_equiv_test.cpp runs every program under all three and
+/// compares against it). kNative runs the fused tier plus tiered promotion:
+/// functions whose per-chunk hotness score crosses the machine's threshold
+/// are template-JIT compiled to x86-64 (src/interp/jit.cpp) and entered
+/// natively from then on, deopting back to the fused loop for unsupported
+/// ops. On hosts without the PRIVAGIC_JIT probe, kNative degrades to kFused
+/// semantics (and identical results — that is the point of the equivalence
+/// matrix).
+enum class ExecMode { kTreeWalk, kFused, kNative };
 
 class Machine {
  public:
@@ -123,7 +123,7 @@ class Machine {
   /// The engine this machine executes with (fixed at construction).
   [[nodiscard]] ExecMode exec_mode() const { return mode_; }
 
-  /// The pre-decoded (and, in kFused mode, fusion-rewritten) bytecode, or
+  /// The pre-decoded, fusion-rewritten bytecode, or
   /// nullptr in kTreeWalk mode. Read-only: --dump-bytecode and the fusion
   /// tests inspect listings through this.
   [[nodiscard]] const bc::ProgramCode* program_code() const { return code_.get(); }
@@ -292,8 +292,8 @@ class Machine {
   // address.
   const std::uint64_t generation_;
   std::unique_ptr<sgx::SimMemory> memory_;
-  // The whole program pre-decoded to register bytecode (bytecode modes only;
-  // fused in kFused and kNative modes).
+  // The whole program pre-decoded and fused to register bytecode (kFused and
+  // kNative; null in kTreeWalk).
   std::unique_ptr<bc::ProgramCode> code_;
   // The native-tier compiler (kNative on a PRIVAGIC_JIT host; else null).
   // Declared before runtimes_ so worker threads are joined and destroyed

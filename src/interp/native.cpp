@@ -3,12 +3,12 @@
 // NativeHelpers thunks compiled fragments call back into for every op that
 // touches simulated memory or the runtime.
 //
-// The thunks run the executor's own code (mem_load / mem_store / the fused
-// handler bodies), so SimMemory bounds, color and EPC checks, pointer auth,
-// trace hooks and the message protocol behave identically to run_fused. No
+// The thunks run the executor's own code (mem_load / mem_store /
+// runtime_op), so SimMemory bounds, color and EPC checks, pointer auth,
+// trace hooks and the message protocol behave identically to fused_loop. No
 // exception ever crosses an emitted frame: guarded() captures it into the
 // NativeCtx (status 2), the native code returns by plain ret, and run_native
-// rethrows — the unwind then runs the same path as a throwing run_fused.
+// rethrows — the unwind then runs the same path as a throwing fused_loop.
 #include <exception>
 #include <type_traits>
 
@@ -89,88 +89,11 @@ void NativeHelpers::big_op(NativeCtx* ctx, std::uint64_t pc) {
       case Op::kHeapFree:
         m.memory_->free(static_cast<std::uint64_t>(frame[o->a]), ex->me_);
         break;
-      // Mailbox ops flush the batched counter up front — the same
-      // quiescent-point agreement run_switch and run_fused keep.
-      case Op::kSpawn: {
-        ex->flush_counter();
-        const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
-        const std::int64_t chunk = frame[slots[0]];
-        const std::int64_t color =
-            (o->flags & kSpawnResolved) != 0
-                ? o->imm
-                : m.program_.color_id(
-                      m.program_.chunks.at(static_cast<std::size_t>(chunk)).color);
-        ex->rt_.spawn(color, static_cast<std::uint64_t>(chunk), frame[slots[1]],
-                      frame[slots[2]], frame[slots[3]]);
-        // A same-color spawn runs the chunk inline on this thread; its
-        // executor shares the arena, which may have reallocated.
-        frame = ex->arena_.stack.data() + ctx->base;
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
-        break;
-      }
-      case Op::kCont: {
-        ex->flush_counter();
-        const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
-        ex->rt_.cont(frame[slots[0]], frame[slots[1]], frame[slots[2]]);
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
-        break;
-      }
-      case Op::kWait: {
-        ex->flush_counter();
-        const std::int64_t r = ex->rt_.wait(static_cast<std::size_t>(ex->me_),
-                                            frame[f->arg_pool[o->args_first]]);
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = r;
-        break;
-      }
-      case Op::kAck: {
-        ex->flush_counter();
-        const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
-        ex->rt_.ack(frame[slots[0]], frame[slots[1]]);
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
-        break;
-      }
-      case Op::kWaitAck: {
-        ex->flush_counter();
-        ex->rt_.wait_ack(static_cast<std::size_t>(ex->me_),
-                         frame[f->arg_pool[o->args_first]]);
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = 0;
-        break;
-      }
-      case Op::kCallInternal: {
-        const std::int64_t r = ex->call_function(f, *o, frame);
-        frame = ex->arena_.stack.data() + ctx->base;  // nested frames grow the arena
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = r;
-        break;
-      }
-      case Op::kCallExternal: {
-        const std::uint32_t* slots = f->arg_pool.data() + o->args_first;
-        std::int64_t buf[8];
-        std::vector<std::int64_t> heap;
-        std::int64_t* call_args = buf;
-        if (o->nargs > 8) {
-          heap.resize(o->nargs);
-          call_args = heap.data();
-        }
-        for (std::uint16_t i = 0; i < o->nargs; ++i) call_args[i] = frame[slots[i]];
-        ex->rt_.flush_current();  // flush point: leaving the runtime's control
-        const std::int64_t r =
-            m.call_external(static_cast<const ir::Function*>(o->target),
-                            std::span<const std::int64_t>(call_args, o->nargs),
-                            ex->me_);
-        // The host callback may have re-entered the machine on this thread.
-        frame = ex->arena_.stack.data() + ctx->base;
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = r;
-        break;
-      }
-      case Op::kCallIndirect: {
-        const std::int64_t r = ex->call_indirect(f, *o, frame);
-        frame = ex->arena_.stack.data() + ctx->base;
-        if ((o->flags & kHasResult) != 0) frame[o->dest] = r;
-        break;
-      }
       default:
-        // The emitter routes only the ops above here.
-        throw InterpError("native big_op on unexpected opcode");
+        // Spawn, cont, wait, ack, wait_ack and the calls: the fused loop's
+        // own handler. It may move the arena; ctx->frame is reloaded below.
+        ex->runtime_op(f, *o, ctx->base);
+        break;
     }
   });
   ctx->pending = ex->pending_;
@@ -193,7 +116,7 @@ std::int64_t BytecodeExecutor::run_native(const DecodedFunction* f, const Native
   const std::int64_t result = nc->entry(&ctx);
   // The native frame is gone (plain ret) on every exit kind; pick the batched
   // count back up so normal flushes — and the dtor's unwind flush — see
-  // exactly what run_fused would have.
+  // exactly what fused_loop would have.
   pending_ = ctx.pending;
   if (ctx.status == 2) std::rethrow_exception(fault);
   if (ctx.status == 1) {
@@ -204,7 +127,7 @@ std::int64_t BytecodeExecutor::run_native(const DecodedFunction* f, const Native
     obs::on_jit_deopt();
     return fused_loop(f, base, ctx.deopt_pc, frame_allocas);
   }
-  // Normal return: stack allocations die with the frame, like run_fused's
+  // Normal return: stack allocations die with the frame, like fused_loop's
   // kRet handler (an unwinding frame leaks them exactly like the tree-walker).
   for (const std::uint64_t addr : frame_allocas) {
     m_.memory_->free(addr, m_.memory_->color_of(addr));

@@ -369,7 +369,7 @@ inline void on_chunk_dispatch(std::int64_t color, std::int64_t chunk, std::int64
   }
 }
 
-/// The decoded engine flushed its batched instruction count (at mailbox ops
+/// A bytecode executor flushed its batched instruction count (at mailbox ops
 /// and every kCountFlushBatch branch edges) — the instructions-per-call
 /// distribution of §7.3 falls out of these flush sizes (sampled; this is the
 /// single hottest hook, several flushes per request).

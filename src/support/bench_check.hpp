@@ -18,7 +18,7 @@
 // Three entry shapes:
 //   * {"value", "tol_pct"} — two-sided drift pin for structural counters.
 //   * {"min"}             — one-sided floor for performance ratios (fused
-//     over decoded, request throughput): regressions below the floor fail,
+//     over treewalk, request throughput): regressions below the floor fail,
 //     improvements never do.
 //   * {"max"}             — one-sided ceiling for counters that must stay
 //     small (jit.deopts on workloads whose hot paths are fully templated):

@@ -1,19 +1,19 @@
 // Differential test: the bytecode engines vs the tree-walker.
 //
 // Every PIR fixture (examples/pir/*.pir), the partitioned kvcache program
-// (apps/kvcache/pir_program.hpp), and the PR-1 fault-injection and
-// pointer-auth configurations run under all four ExecModes — kTreeWalk,
-// kDecoded (flat switch), kFused (superinstructions + direct-threaded
-// dispatch), and kNative (template-JIT with promotion forced to the first
-// call, so compiled code — and its deopt/fault exits — actually execute;
-// on non-JIT hosts the mode degrades to kFused and the row still runs) —
-// with identical scripts; the engines must observably agree on
+// (apps/kvcache/pir_program.hpp), and the fault-injection and pointer-auth
+// configurations run under all three ExecModes — kTreeWalk (the reference
+// oracle), kFused (superinstructions + direct-threaded dispatch), and
+// kNative (template-JIT with promotion forced to the first call, so compiled
+// code — and its deopt/fault exits — actually execute; on non-JIT hosts the
+// mode degrades to kFused and the row still runs) — with identical scripts;
+// the engines must observably agree on
 //   * every call's status and return value (including error messages),
 //   * the external-call log (recording enabled on both),
 //   * final global memory, byte for byte (region snapshots via resolve()),
 //   * per-enclave EPC usage,
 //   * the total instructions-executed counter.
-// The last item is the strictest: the decoded engine may batch its budget
+// The last item is the strictest: the bytecode engines batch their budget
 // accounting, but once counts settle it must have charged exactly the
 // instructions the walker charges (phis uncounted, traps counted, etc.).
 #include <gtest/gtest.h>
@@ -166,25 +166,21 @@ void expect_equivalent(const Observed& tree, const Observed& other,
 }
 
 /// Compiles once per engine (each Machine owns its program view) and runs
-/// the identical script under all three, asserting the decoded and fused
+/// the identical script under all three, asserting the fused and native
 /// engines each match the tree-walker on every channel.
 void run_both_and_compare(
     const std::function<Compiled()>& build,
     const std::function<void(interp::Machine&)>& configure,
     const std::function<void(interp::Machine&, Observed&)>& drive) {
   Compiled for_tree = build();
-  Compiled for_decoded = build();
   Compiled for_fused = build();
   Compiled for_native = build();
   const Observed tree =
       run_scenario(*for_tree.program, ExecMode::kTreeWalk, configure, drive);
-  const Observed decoded =
-      run_scenario(*for_decoded.program, ExecMode::kDecoded, configure, drive);
   const Observed fused =
       run_scenario(*for_fused.program, ExecMode::kFused, configure, drive);
   const Observed native =
       run_scenario(*for_native.program, ExecMode::kNative, configure, drive);
-  expect_equivalent(tree, decoded, "decoded");
   expect_equivalent(tree, fused, "fused");
   expect_equivalent(tree, native, "native");
 }
@@ -199,6 +195,22 @@ TEST(InterpEquivTest, Fig6FixtureMatchesAcrossEngines) {
       [&] { return compile(text, Mode::kRelaxed); }, nullptr,
       [](interp::Machine& m, Observed& o) {
         for (int i = 0; i < 3; ++i) record_call(m, o, "main", {});
+      });
+}
+
+// A 16-deep chain of functions alternating between two enclaves: each
+// enclave worker waits for the next hop while serving the spawns that come
+// back to its color, so its bytecode stack arena grows and moves mid-wait.
+// The result written after wait/wait_ack must land in the moved frame.
+TEST(InterpEquivTest, NestedCrossColorChainMatchesAcrossEngines) {
+  const std::string text = read_fixture("examples/pir/nested_cross_color.pir");
+  run_both_and_compare(
+      [&] { return compile(text, Mode::kRelaxed); }, nullptr,
+      [](interp::Machine& m, Observed& o) {
+        record_call(m, o, "f0", {5});
+        EXPECT_EQ(o.results.back(), "ok 528");
+        record_call(m, o, "f0", {-77});
+        EXPECT_EQ(o.results.back(), "ok -1056");
       });
 }
 
@@ -299,8 +311,7 @@ TEST(InterpEquivTest, CallPathBatchingOnAndOffAreObservablyIdentical) {
     for (int i = 0; i < 40; ++i) record_call(m, o, "handle_request", {});
     record_call(m, o, "read_stats", {});
   };
-  for (const ExecMode mode : {ExecMode::kTreeWalk, ExecMode::kDecoded,
-                              ExecMode::kFused, ExecMode::kNative}) {
+  for (const ExecMode mode : {ExecMode::kTreeWalk, ExecMode::kFused, ExecMode::kNative}) {
     Compiled a = compile(std::string(apps::kMinicachedCorePir), Mode::kHardened);
     Compiled b = compile(std::string(apps::kMinicachedCorePir), Mode::kHardened);
     const Observed batched = run_scenario(*a.program, mode, bind_net, drive);

@@ -11,7 +11,7 @@
 // The end-to-end test compiles a PIR module crafted to form every one of
 // the ten superinstructions, checks each mnemonic appears in the fused
 // disassembly, and runs it under all three engines expecting identical
-// results — which keeps the run_fused jump table honest: a superinstruction
+// results — which keeps the fused_loop jump table honest: a superinstruction
 // missing its handler would diverge (or crash) here.
 #include <gtest/gtest.h>
 
@@ -295,7 +295,7 @@ TEST(FusePassTest, EverySuperinstructionFormsInTheFixture) {
 
 TEST(FusePassTest, EverySuperinstructionExecutesIdenticallyAcrossEngines) {
   for (const ExecMode mode :
-       {ExecMode::kTreeWalk, ExecMode::kDecoded, ExecMode::kFused}) {
+       {ExecMode::kTreeWalk, ExecMode::kFused, ExecMode::kNative}) {
     Compiled c = compile_all_patterns();
     Machine m(*c.program, /*epc_limit_bytes=*/0, mode);
     auto r = m.call("main", {});

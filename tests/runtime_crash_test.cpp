@@ -12,8 +12,8 @@
 //   * a crash with recovery disabled degrades exactly like the pre-§12
 //     runtime: the color is poisoned, waiters drain with a typed fault.
 //
-// All four execution engines (kTreeWalk, kDecoded, kFused, kNative — the
-// last with promotion forced so compiled code is live when the crash hits)
+// All three execution engines (kTreeWalk, kFused, kNative — the last with
+// promotion forced so compiled code is live when the crash hits)
 // run the crash points.
 // No test sleeps or waits longer than 2 seconds of wall clock.
 #include <gtest/gtest.h>
@@ -414,13 +414,12 @@ std::int64_t read_global(interp::Machine& m, const std::string& name,
 
 TEST(MachineCrashTest, ExactlyOnceAtEveryCrashPointOnEveryEngine) {
   for (const interp::ExecMode mode :
-       {interp::ExecMode::kTreeWalk, interp::ExecMode::kDecoded,
-        interp::ExecMode::kFused, interp::ExecMode::kNative}) {
+       {interp::ExecMode::kTreeWalk, interp::ExecMode::kFused,
+        interp::ExecMode::kNative}) {
     for (const CrashPoint point :
          {CrashPoint::kWaitEntry, CrashPoint::kPreSend, CrashPoint::kMidBatch,
           CrashPoint::kPostCheckpoint}) {
       const char* engine = mode == interp::ExecMode::kTreeWalk   ? "treewalk"
-                           : mode == interp::ExecMode::kDecoded  ? "decoded"
                            : mode == interp::ExecMode::kFused    ? "fused"
                                                                  : "native";
       SCOPED_TRACE(std::string(engine) + "/" + crash_point_name(point));

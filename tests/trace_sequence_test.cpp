@@ -167,8 +167,8 @@ TEST(TraceSequenceTest, TreeWalkerEmitsCanonicalTwoColorChain) {
   check_sequence(ExecMode::kTreeWalk);
 }
 
-TEST(TraceSequenceTest, DecodedEngineEmitsCanonicalTwoColorChain) {
-  check_sequence(ExecMode::kDecoded);
+TEST(TraceSequenceTest, FusedEngineEmitsCanonicalTwoColorChain) {
+  check_sequence(ExecMode::kFused);
 }
 
 TEST(TraceSequenceTest, ElidedSameColorCallLeavesNoMessageEventsButReconciles) {
@@ -227,12 +227,12 @@ TEST(TraceSequenceTest, ElidedSameColorCallLeavesNoMessageEventsButReconciles) {
   obs::MetricsRegistry::global().reset_all();
 }
 
-TEST(TraceSequenceTest, DecodedEngineRecordsBudgetFlushes) {
+TEST(TraceSequenceTest, FusedEngineRecordsBudgetFlushes) {
   obs::MetricsRegistry::global().reset_all();
   obs::set_metrics_enabled(true);
   {
     Compiled c = compile(kTwoColor, Mode::kRelaxed);
-    Machine m(*c.program, 0, ExecMode::kDecoded);
+    Machine m(*c.program, 0, ExecMode::kFused);
     // Enough round trips that the 1-in-8 flush sampling is certain to fire
     // (each call flushes several times; 64 calls ≫ one sampling period).
     for (int i = 0; i < 64; ++i) ASSERT_TRUE(m.call("main", {}).ok());

@@ -37,6 +37,10 @@
 //                             without the native tier (PRIVAGIC_JIT=0),
 //                             =native prints the fused listing plus a note.
 //   --run ENTRY [ARGS...]     execute an interface on the simulated machine
+//   --engine=tree|fused|native
+//                             the execution engine for --run (default fused):
+//                             the tree-walking reference oracle, the fused
+//                             bytecode loop, or fused plus JIT promotion.
 //   --trace-out=FILE          capture a Chrome trace_event JSON of the --run
 //                             execution (load in chrome://tracing / perfetto)
 //
@@ -53,6 +57,7 @@
 
 #include "analysis/pass_manager.hpp"
 #include "analysis/placement.hpp"
+#include "interp/bytecode.hpp"
 #include "interp/disasm.hpp"
 #include "interp/jit.hpp"
 #include "interp/machine.hpp"
@@ -73,7 +78,8 @@ int usage() {
                "                 [--emit-input] [--emit-partitioned] [--chunks]\n"
                "                 [--colors] [--tcb] [--lint[=json]] [--placement]\n"
                "                 [--profile=FILE] [--dump-bytecode[=fused|native]]\n"
-               "                 [--run ENTRY [ARGS...]] [--trace-out=FILE] file.pir\n");
+               "                 [--run ENTRY [ARGS...]] [--engine=tree|fused|native]\n"
+               "                 [--trace-out=FILE] file.pir\n");
   return 2;
 }
 
@@ -99,6 +105,7 @@ int main(int argc, char** argv) {
   bool dump_native = false;
   std::string run_entry;
   std::vector<std::int64_t> run_args;
+  interp::ExecMode engine = interp::ExecMode::kFused;
   std::string trace_out;
   std::string file;
 
@@ -141,6 +148,12 @@ int main(int argc, char** argv) {
       dump_bytecode = true;
       dump_fused = true;
       dump_native = true;
+    } else if (arg == "--engine=tree") {
+      engine = interp::ExecMode::kTreeWalk;
+    } else if (arg == "--engine=fused") {
+      engine = interp::ExecMode::kFused;
+    } else if (arg == "--engine=native") {
+      engine = interp::ExecMode::kNative;
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       trace_out = arg.substr(std::strlen("--trace-out="));
       if (trace_out.empty()) return usage();
@@ -313,14 +326,19 @@ int main(int argc, char** argv) {
     std::fputs(ir::print_module(*result.value()->module).c_str(), stdout);
   }
   if (dump_bytecode) {
-    // A throwaway Machine decodes (and optionally fuses) the program; its
-    // workers never run a call, so construction cost is all there is. =native
-    // uses a kNative machine so the listing compiles through the same
-    // JitEngine that execution promotes through.
+    // A throwaway Machine decodes and fuses the program; its workers never
+    // run a call, so construction cost is all there is. The plain listing
+    // decodes once more without fusion, against the same address space.
+    // =native uses a kNative machine so the listing compiles through the
+    // same JitEngine that execution promotes through.
     interp::Machine machine(*result.value(), /*epc_limit_bytes=*/0,
-                            dump_native   ? interp::ExecMode::kNative
-                            : dump_fused  ? interp::ExecMode::kFused
-                                          : interp::ExecMode::kDecoded);
+                            dump_native ? interp::ExecMode::kNative
+                                        : interp::ExecMode::kFused);
+    if (!dump_fused) {
+      const interp::bc::ProgramCode plain(machine, /*fuse=*/false);
+      std::fputs(interp::bc::disassemble_program(plain).c_str(), stdout);
+      return 0;
+    }
     if (!dump_native) {
       std::fputs(interp::bc::disassemble_program(machine).c_str(), stdout);
       return 0;
@@ -357,7 +375,7 @@ int main(int argc, char** argv) {
     obs::Tracer::instance().enable();
   }
   if (!run_entry.empty()) {
-    interp::Machine machine(*result.value());
+    interp::Machine machine(*result.value(), /*epc_limit_bytes=*/0, engine);
     machine.set_external_log_enabled(true);
     // Identity classify/declassify so annotated programs run out of the box.
     for (const char* boundary : {"classify", "declassify"}) {
