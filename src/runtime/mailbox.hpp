@@ -9,9 +9,15 @@
 // Transport. This is the interpreter runtime's one message channel, built as
 // the paper's runtime builds its per-worker channel: "a lock-free FIFO queue
 // stored in unsafe memory" (§7.3.2). Three parts:
-//   * an inbound ring — a bounded multi-producer ring with per-slot sequence
-//     numbers (Vyukov). A push claims a slot with one CAS and publishes it
-//     with one release store: no lock, no syscall;
+//   * an inbound ring — a bounded multi-producer ring. A push claims a
+//     position with one CAS on tail_ and publishes it with one release store
+//     of the slot's publish word (position + 1): no lock, no syscall. One
+//     message moves one slot (128-byte aligned, a line pair) from producer
+//     to consumer and no other line: the waiter polls the head slot's
+//     publish word, not tail_; producers check fullness against a cached
+//     head (head_seen_) and re-read head_ only when the ring looks full; the
+//     drainer never writes a slot back, only head_. A publish word left from
+//     an earlier lap is below head + 1, so it never passes for a fresh one;
 //   * an overflow list — a producer never blocks on a full ring. It appends
 //     under a lock instead, and while the list is non-empty every later push
 //     follows it there, so per-sender FIFO holds. The drainer takes the list
@@ -90,14 +96,10 @@ class Mailbox {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Inbound ring capacity: 256 slots of 80 bytes, 20 KiB per mailbox.
+  /// Inbound ring capacity: 256 slots of 128 bytes, 32 KiB per mailbox.
   static constexpr std::uint64_t kRingSlots = 256;
 
-  Mailbox() {
-    for (std::uint64_t i = 0; i < kRingSlots; ++i) {
-      ring_[i].seq.store(i, std::memory_order_relaxed);
-    }
-  }
+  Mailbox() = default;
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
@@ -197,6 +199,12 @@ class Mailbox {
            (tail_.load(std::memory_order_acquire) - head_.load(std::memory_order_relaxed));
   }
 
+  /// Messages on the overflow list (tests only).
+  [[nodiscard]] std::size_t overflowed() const {
+    const std::lock_guard<std::mutex> lock(overflow_mu_);
+    return overflow_.size();
+  }
+
  private:
   // Wait tuning: pure pause-spins, then sched_yield for kYieldFor, then park.
   // The pause run stays short (32 pauses, ~0.7 µs on a current Xeon): when
@@ -212,8 +220,8 @@ class Mailbox {
   // turn every such wait into a timeout. The caller's retry loop is bounded.
   static constexpr std::chrono::milliseconds kSpinParkThreshold{2};
 
-  struct Slot {
-    std::atomic<std::uint64_t> seq{0};  // == pos: free; == pos + 1: published
+  struct alignas(128) Slot {
+    std::atomic<std::uint64_t> seq{0};  // == pos + 1: message pos is published
     Message msg;
   };
   // One ring per color per runtime: keep it small (peak RSS is a benchmark
@@ -244,25 +252,28 @@ class Mailbox {
   /// 1 for a ring push while metrics are off).
   std::size_t enqueue(const Message& m) {
     if (!overflow_active_.load(std::memory_order_acquire)) {
+      // head_seen_ is read before tail_, so head <= pos. The acquire pairs
+      // with the drainer's release of head_ (directly, or through the
+      // producer that cached it): the slot's previous message is copied out.
+      std::uint64_t head = head_seen_.load(std::memory_order_acquire);
       std::uint64_t pos = tail_.load(std::memory_order_relaxed);
       while (true) {
-        Slot& s = ring_[pos % kRingSlots];
-        const std::uint64_t seq = s.seq.load(std::memory_order_acquire);
-        if (seq == pos) {
-          if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-            // Occupancy is read only when metrics will record it: head_ sits
-            // on the drainer's hot cache line. Read before publishing, since
-            // the drainer cannot pass an unpublished slot, so head <= pos.
-            const std::uint64_t head =
-                obs::metrics_enabled() ? head_.load(std::memory_order_relaxed) : pos;
-            s.msg = m;
-            s.seq.store(pos + 1, std::memory_order_release);
-            return pos + 1 - head;
-          }
-        } else if (seq < pos) {
-          break;  // full: the slot still holds the message of the previous lap
-        } else {
+        if (pos - head >= kRingSlots) {
+          head = head_.load(std::memory_order_acquire);
+          head_seen_.store(head, std::memory_order_release);
           pos = tail_.load(std::memory_order_relaxed);
+          if (pos - head >= kRingSlots) break;  // full: the drainer is a lap behind
+        }
+        if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
+          // Occupancy is read only when metrics will record it: head_ sits
+          // on the drainer's hot cache line. Read before publishing, since
+          // the drainer cannot pass an unpublished slot, so head <= pos.
+          const std::uint64_t drained =
+              obs::metrics_enabled() ? head_.load(std::memory_order_relaxed) : pos;
+          Slot& s = ring_[pos % kRingSlots];
+          s.msg = m;
+          s.seq.store(pos + 1, std::memory_order_release);
+          return pos + 1 - drained;
         }
       }
     }
@@ -283,9 +294,11 @@ class Mailbox {
   }
 
   /// True once something a poll could act on may have arrived since the
-  /// poll that left drained_ at @p seen.
+  /// poll that left drained_ at @p seen. Polls the head slot's publish word,
+  /// so a spinning waiter shares only the line its next message lands on.
   [[nodiscard]] bool ready(std::uint64_t seen) const {
-    return tail_.load(std::memory_order_acquire) != head_.load(std::memory_order_acquire) ||
+    const std::uint64_t head = head_.load(std::memory_order_acquire);
+    return ring_[head % kRingSlots].seq.load(std::memory_order_acquire) == head + 1 ||
            overflow_active_.load(std::memory_order_acquire) ||
            stopped_.load(std::memory_order_acquire) ||
            drained_.load(std::memory_order_acquire) != seen;
@@ -309,14 +322,13 @@ class Mailbox {
 
   /// Moves delivered messages into pending_ (caller holds drain_mu_).
   void drain() {
-    std::uint64_t head = head_.load(std::memory_order_relaxed);
-    while (true) {
-      Slot& s = ring_[head % kRingSlots];
-      if (s.seq.load(std::memory_order_acquire) != head + 1) break;
-      pending_.push_back(s.msg);
-      head_.store(++head, std::memory_order_relaxed);
-      s.seq.store(head - 1 + kRingSlots, std::memory_order_release);
+    const std::uint64_t start = head_.load(std::memory_order_relaxed);
+    std::uint64_t head = start;
+    while (ring_[head % kRingSlots].seq.load(std::memory_order_acquire) == head + 1) {
+      pending_.push_back(ring_[head % kRingSlots].msg);
+      ++head;
     }
+    if (head != start) head_.store(head, std::memory_order_release);
     if (!overflow_active_.load(std::memory_order_acquire)) return;
     // A ring push claimed before an overflow push must be drained first (it
     // may be the same sender's earlier message); until it lands, ready()
@@ -403,15 +415,16 @@ class Mailbox {
     }
   }
 
-  // Producers: claimed with one CAS each.
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
+  // Producers: claimed with one CAS each, checked against a cached head_.
+  alignas(128) std::atomic<std::uint64_t> tail_{0};
+  std::atomic<std::uint64_t> head_seen_{0};
   // Drainer side, written under drain_mu_; read lock-free by ready().
-  alignas(64) std::atomic<std::uint64_t> head_{0};
+  alignas(128) std::atomic<std::uint64_t> head_{0};
   std::atomic<std::uint64_t> drained_{0};  // bumped by each poll that drains
   std::deque<Message> pending_;
   mutable std::mutex drain_mu_;
   // Rarely written flags and the park rendezvous.
-  alignas(64) std::atomic<bool> overflow_active_{false};
+  alignas(128) std::atomic<bool> overflow_active_{false};
   std::atomic<bool> stopped_{false};
   std::atomic<bool> adaptive_{false};
   std::atomic<std::uint32_t> sleepers_{0};
@@ -424,7 +437,7 @@ class Mailbox {
   std::mutex inject_mu_;
   std::size_t channel_ = 0;
   std::vector<Message> delivered_;
-  alignas(64) std::array<Slot, kRingSlots> ring_;
+  std::array<Slot, kRingSlots> ring_;
 };
 
 }  // namespace privagic::runtime

@@ -5,8 +5,8 @@
 // an attacker drop, duplicate, reorder, corrupt, or forge any of these. Two
 // fields defend the protocol (the §8 extension, grown into a full recovery
 // path — see DESIGN.md "Fault model & recovery"):
-//   * `seq`  — a per-runtime monotonic sequence number stamped on every
-//     legitimate send. Receivers discard a seq they have already consumed,
+//   * `seq`  — a sequence number, monotonic per target mailbox, stamped on
+//     every legitimate send. Receivers discard a seq they have already consumed,
 //     which makes sender-side retransmission (and attacker duplication)
 //     idempotent. 0 means "unsequenced" (raw injected traffic).
 //   * `auth` — a MAC over all semantic fields + seq under a secret shared by
@@ -34,7 +34,7 @@ struct Message {
   std::int64_t leader = 0;
   std::int64_t flags = 0;
 
-  // Monotonic per-runtime sequence number (0 = unsequenced; see above).
+  // Sequence number, monotonic per target mailbox (0 = unsequenced; see above).
   std::uint64_t seq = 0;
 
   // Message authentication (the §8 extension): a MAC over the fields above

@@ -27,7 +27,9 @@ namespace privagic::runtime {
 /// aggregated snapshot is additionally mirrored into obs::MetricsRegistry by
 /// interp::Machine::runtime_stats() when metrics collection is enabled.
 struct RuntimeStats {
-  std::atomic<std::uint64_t> messages_sent{0};       // sequenced sends (spawn/cont/ack)
+  // Sequenced sends (spawn/cont/ack). ThreadRuntime never bumps this atomic:
+  // its stats_snapshot() derives the count from the per-target seq counters.
+  std::atomic<std::uint64_t> messages_sent{0};
   std::atomic<std::uint64_t> duplicates_discarded{0};// seq already consumed
   std::atomic<std::uint64_t> corrupt_dropped{0};     // cont/ack MAC mismatch
   std::atomic<std::uint64_t> forged_spawn_rejects{0};// spawn MAC mismatch (§8 guard)

@@ -21,7 +21,8 @@
 // blocked forever in Mailbox::next the moment one message went missing; this
 // runtime degrades gracefully instead (RecoveryOptions):
 //
-//   * every legitimate send is stamped with a monotonic `seq` and MAC'd
+//   * every legitimate send is stamped with a `seq` — monotonic per target
+//     mailbox, so the only counter a sender touches is its target's — and MAC'd
 //     under the enclave-held secret (message_mac); receivers quarantine
 //     MAC mismatches (forged spawns / corrupted conts+acks) and discard
 //     already-seen seqs, so duplication — attacker- or retry-induced — is
@@ -212,6 +213,7 @@ class ThreadRuntime {
                          ? options_.checkpoint.seal_secret
                          : options_.spawn_secret ^ kSealSalt),
         mailboxes_(num_colors),
+        next_seq_(num_colors),
         seen_(num_colors),
         sent_log_(num_colors),
         poisoned_(num_colors),
@@ -395,12 +397,15 @@ class ThreadRuntime {
 
   [[nodiscard]] const RuntimeStats& stats() const { return stats_; }
 
-  /// Coherent counter snapshot including the thread-private flush accounting
-  /// that flush_one keeps out of the shared RuntimeStats atomics. Callers
-  /// that need batch_flushes / batched_messages / slab_highwater must use
-  /// this instead of stats().snapshot().
+  /// Coherent counter snapshot including what the send path keeps out of the
+  /// shared RuntimeStats atomics: messages_sent (from the per-target seq
+  /// counters) and flush_one's thread-private batch_flushes /
+  /// batched_messages / slab_highwater. Callers need this for those four.
   [[nodiscard]] RuntimeStats::Snapshot stats_snapshot() const {
     RuntimeStats::Snapshot snap = stats_.snapshot();
+    for (const SeqCounter& c : next_seq_) {
+      snap.messages_sent += c.next.load(std::memory_order_relaxed) - 1;
+    }
     const std::lock_guard<std::mutex> lock(outbox_mu_);
     for (const auto& set : outbox_sets_) {
       snap.batch_flushes += set->batch_flushes.load(std::memory_order_relaxed);
@@ -1019,15 +1024,16 @@ class ThreadRuntime {
       ob.self.push_back(m);
       return;
     }
-    m.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+    // Seqs need only be unique per receiving window: one counter per target
+    // keeps a cross-core miss off every send, and counts messages_sent.
+    m.seq = next_seq_[target].next.fetch_add(1, std::memory_order_relaxed);
     m.auth = message_mac(m, options_.spawn_secret);
-    stats_.messages_sent.fetch_add(1, std::memory_order_relaxed);
     // Journal after the seq stamp so a post-crash replay re-pushes this exact
     // wire message and the receiver's dedup window absorbs any double.
     if (jrn) journal_append(ob.sender, JournalOp::kSend, target, m);
     if (retransmit_live_) {
       const std::lock_guard<std::mutex> lock(sent_mu_);
-      sent_log_[target].push(m);
+      sent_log_[target].push(m, sent_order_++);
     }
     if (max_batch_ <= 1) {
       // Unbatched path (max_batch <= 1): push-per-send, as the seed did.
@@ -1060,13 +1066,13 @@ class ThreadRuntime {
   /// transit. The copy keeps its original seq, so if the "lost" original
   /// eventually surfaces too, the receiver keeps exactly one.
   bool retransmit(std::size_t me, MsgKind kind, std::int64_t tag) {
-    std::vector<std::pair<std::size_t, Message>> resend;  // (target, message)
+    std::vector<std::pair<std::size_t, SentRing::Entry>> resend;  // (target, entry)
     {
       const std::lock_guard<std::mutex> lock(sent_mu_);
       const auto& log = sent_log_[me];
       for (std::size_t i = log.size(); i-- > 0;) {
-        const Message& logged = log.from_oldest(i);
-        if (logged.kind == kind && logged.tag == tag) {
+        const SentRing::Entry& logged = log.from_oldest(i);
+        if (logged.msg.kind == kind && logged.msg.tag == tag) {
           resend.emplace_back(me, logged);
           break;
         }
@@ -1076,8 +1082,9 @@ class ThreadRuntime {
         // color, so the silence stems from a loss further up the dependency
         // chain (e.g. the spawn — plus its already-delivered param conts —
         // that should eventually produce our cont). Re-push a window of the
-        // globally most recent sends; the seq window makes every spurious
-        // re-delivery idempotent.
+        // globally most recent sends, ordered by send order (seqs are per
+        // target, so they cannot compare across targets); the seq window
+        // makes every spurious re-delivery idempotent.
         for (std::size_t c = 0; c < sent_log_.size(); ++c) {
           const auto& l = sent_log_[c];
           const std::size_t n = std::min(l.size(), kGoBackWindow);
@@ -1086,7 +1093,7 @@ class ThreadRuntime {
           }
         }
         std::sort(resend.begin(), resend.end(),
-                  [](const auto& a, const auto& b) { return a.second.seq < b.second.seq; });
+                  [](const auto& a, const auto& b) { return a.second.order < b.second.order; });
         if (resend.size() > kGoBackWindow) {
           resend.erase(resend.begin(), resend.end() - kGoBackWindow);
         }
@@ -1095,7 +1102,7 @@ class ThreadRuntime {
     if (resend.empty()) return false;
     stats_.retransmits.fetch_add(1, std::memory_order_relaxed);  // one recovery event
     obs::on_retransmit(static_cast<std::int64_t>(me), tag);
-    for (const auto& [target, copy] : resend) mailboxes_[target]->push(copy);
+    for (const auto& [target, copy] : resend) mailboxes_[target]->push(copy.msg);
     return true;
   }
 
@@ -1401,21 +1408,23 @@ class ThreadRuntime {
   /// the retransmission source. A plain overwrite ring: push is one slot
   /// store on the send hot path (the deque it replaces paid push/pop churn
   /// per message once full). Storage is allocated on first use so idle
-  /// colors cost nothing.
+  /// colors cost nothing. Each entry carries its runtime-wide send order,
+  /// which the go-back fallback sorts by.
   struct SentRing {
-    std::vector<Message> buf;
+    struct Entry { Message msg; std::uint64_t order = 0; };
+    std::vector<Entry> buf;
     std::uint64_t count = 0;  // total pushes; send #i lives in buf[i % cap]
 
-    void push(const Message& m) {
+    void push(const Message& m, std::uint64_t order) {
       if (buf.empty()) buf.resize(kSentLogCap);
-      buf[count % kSentLogCap] = m;
+      buf[count % kSentLogCap] = Entry{m, order};
       ++count;
     }
     [[nodiscard]] std::size_t size() const {
       return static_cast<std::size_t>(std::min<std::uint64_t>(count, kSentLogCap));
     }
     /// @p i counts from the oldest retained entry (0) to the newest.
-    [[nodiscard]] const Message& from_oldest(std::size_t i) const {
+    [[nodiscard]] const Entry& from_oldest(std::size_t i) const {
       return buf[(count - size() + i) % kSentLogCap];
     }
   };
@@ -1441,10 +1450,13 @@ class ThreadRuntime {
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::thread> workers_;
   RuntimeStats stats_;
-  std::atomic<std::uint64_t> next_seq_{1};
+  /// Next seq per target slot, one line pair each; next - 1 = sends to it.
+  struct alignas(128) SeqCounter { std::atomic<std::uint64_t> next{1}; };
+  std::vector<SeqCounter> next_seq_;
   std::vector<SeqWindow> seen_;                 // per color; consumer-thread-only
   std::mutex sent_mu_;
   std::vector<SentRing> sent_log_;              // per target color, safe memory
+  std::uint64_t sent_order_ = 0;                // next SentRing order; sent_mu_
   std::vector<std::atomic<bool>> poisoned_;
   std::atomic<bool> any_poisoned_{false};
   /// Root cause of the group's first poisoning; valid once any_poisoned_

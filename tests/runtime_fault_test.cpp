@@ -12,9 +12,13 @@
 // No test here sleeps or waits longer than 2 seconds of wall clock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "interp/machine.hpp"
 #include "ir/parser.hpp"
@@ -241,6 +245,48 @@ TEST(RecoveryTest, ReorderedContIsAbsorbed) {
   EXPECT_EQ(s.retransmits, 1u);
   EXPECT_EQ(s.duplicates_discarded, 1u);
   EXPECT_EQ(s.poisoned_workers, 0u);
+}
+
+TEST(RecoveryTest, GoBackResendsTheMostRecentSendsAcrossTargets) {
+  // U sends 20 spawns to color 1, then 3 to color 2, and the attacker drops
+  // every one of them. U then times out on a cont nobody logged for it, so
+  // retransmit() falls back to go-back: it re-pushes the kGoBackWindow (8)
+  // most recent sends over all targets. Those are the 3 spawns to color 2
+  // and the last 5 to color 1. Seqs count per target (1..20 and 1..3), so
+  // ordering the candidates by seq would pick color 1's last 8 instead.
+  FaultInjector injector(FaultConfig{});
+  for (std::uint64_t i = 0; i < 23; ++i) injector.script(i, FaultKind::kDrop);
+
+  RecoveryOptions options;
+  options.wait_deadline = 20ms;
+  options.max_retries = 1;  // exactly one retransmit round, then give up
+  options.injector = &injector;
+  options.max_batch = 1;    // crossing order == send order
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::uint64_t>> ran;  // (color, chunk)
+  ThreadRuntime rt(
+      3,
+      [&](std::size_t me, std::uint64_t chunk, std::int64_t, std::int64_t, std::int64_t) {
+        const std::lock_guard<std::mutex> lock(mu);
+        ran.emplace_back(me, chunk);
+      },
+      options);
+  for (std::uint64_t i = 0; i < 20; ++i) rt.spawn(1, 100 + i, 0, 0, 0);
+  for (std::uint64_t i = 0; i < 3; ++i) rt.spawn(2, 200 + i, 0, 0, 0);
+  try {
+    rt.wait(0, 7);  // nothing will ever send this
+    FAIL() << "wait must not return";
+  } catch (const RuntimeFault& f) {
+    EXPECT_EQ(f.code(), StatusCode::kRetransmitExhausted);
+  }
+  rt.shutdown();  // workers serve every queued spawn before the sticky stop
+
+  std::sort(ran.begin(), ran.end());
+  const std::vector<std::pair<std::size_t, std::uint64_t>> expected = {
+      {1, 115}, {1, 116}, {1, 117}, {1, 118}, {1, 119}, {2, 200}, {2, 201}, {2, 202}};
+  EXPECT_EQ(ran, expected);
+  EXPECT_EQ(injector.counts().drops, 23u);
+  EXPECT_EQ(rt.stats_snapshot().retransmits, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -521,9 +567,12 @@ TEST(BatchedFaultTest, DropDuplicateReorderOnBatchedSlotsConverge) {
   EXPECT_GT(s.batch_flushes, 0u);
   EXPECT_GE(s.batched_messages, s.batch_flushes);
   EXPECT_GE(s.slab_highwater, 1u);
-  // The flush counters live in the thread-private outboxes, not the shared
-  // atomics — stats() alone must NOT see them (that is the perf contract).
+  // The flush counters live in the thread-private outboxes and the send
+  // count in the per-target seq counters, not the shared atomics — stats()
+  // alone must NOT see them (that is the perf contract).
+  EXPECT_GT(s.messages_sent, 0u);
   EXPECT_EQ(echo.rt->stats().snapshot().batch_flushes, 0u);
+  EXPECT_EQ(echo.rt->stats().snapshot().messages_sent, 0u);
 }
 
 TEST(BatchedFaultTest, BatchedAndUnbatchedRecoveriesAgree) {
@@ -711,7 +760,7 @@ TEST(FaultSweepTest, ScriptedSweepCountersMatchInjectedFaultsExactly) {
   constexpr std::uint64_t kRounds = 600;  // 1 spawn + 1200 conts + 1 ack
   EXPECT_EQ(echo.drive(kRounds), EchoHarness::expected(kRounds));
 
-  const auto s = echo.rt->stats().snapshot();
+  const auto s = echo.rt->stats_snapshot();
   const auto c = injector.counts();
   EXPECT_EQ(c.drops, drops.size());
   EXPECT_EQ(c.duplicates, dups.size());
@@ -749,7 +798,7 @@ TEST(FaultSweepTest, RandomizedSweepCompletesWithoutDeadlock) {
   constexpr std::uint64_t kRounds = 600;  // >= 1000 sequenced messages
   EXPECT_EQ(echo.drive(kRounds), EchoHarness::expected(kRounds));
 
-  const auto s = echo.rt->stats().snapshot();
+  const auto s = echo.rt->stats_snapshot();
   const auto c = injector.counts();
   EXPECT_GE(s.messages_sent, 1000u);
   EXPECT_GT(c.drops + c.duplicates + c.corrupts, 0u) << "the sweep injected nothing";

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -135,6 +137,120 @@ TEST(MailboxTransportTest, StickyStopDrainsRingAndOverflowFirst) {
   }
   EXPECT_EQ(box.next(MsgKind::kCont, 0).kind, MsgKind::kStop);
   EXPECT_EQ(box.next_control().kind, MsgKind::kStop);  // sticky
+}
+
+// Takes @p n messages (all on tag 0) and checks them against the per-producer
+// counters in @p next: FIFO per producer, nothing lost, nothing twice.
+void take_in_order(Mailbox& box, std::uint64_t n, std::vector<std::uint64_t>& next) {
+  for (std::uint64_t k = 0; k < n; ++k) {
+    const auto [p, i] = unstamp(box.next(MsgKind::kCont, 0));
+    ASSERT_LT(p, next.size());
+    ASSERT_EQ(i, next[p]) << "producer " << p << " out of order or overwritten";
+    next[p] = i + 1;
+  }
+}
+
+TEST(MailboxTransportTest, LappingProducersNeverOverwriteAnUndrainedSlot) {
+  // Two producers fill the ring exactly, lap after lap, and the consumer
+  // drains only once each lap is full: every push after the first lap lands
+  // on a slot that held the previous lap's message, claimed against a cached
+  // head that is a lap stale. The overflow list must stay unused until
+  // tail - head reaches kRingSlots, and engage on the very next push.
+  constexpr std::uint64_t kHalf = Mailbox::kRingSlots / 2;
+  constexpr int kLaps = 4;
+  Mailbox box;
+  std::vector<std::uint64_t> sent(2, 0);
+  std::vector<std::uint64_t> next(2, 0);
+  auto push_concurrently = [&](std::uint64_t per_producer) {
+    std::vector<std::thread> producers;
+    for (std::uint64_t p = 0; p < 2; ++p) {
+      producers.emplace_back([&box, &sent, p, per_producer] {
+        for (std::uint64_t k = 0; k < per_producer; ++k) {
+          box.push(Message::cont(0, static_cast<std::int64_t>(p << 32 | sent[p]++)));
+        }
+      });
+    }
+    for (auto& t : producers) t.join();
+  };
+  for (int lap = 0; lap < kLaps; ++lap) {
+    push_concurrently(kHalf);
+    EXPECT_EQ(box.size(), Mailbox::kRingSlots) << "lap " << lap;
+    EXPECT_EQ(box.overflowed(), 0u) << "lap " << lap << ": a full ring is not an overflow";
+    take_in_order(box, Mailbox::kRingSlots, next);
+  }
+  push_concurrently(kHalf);
+  EXPECT_EQ(box.overflowed(), 0u);
+  box.push(Message::cont(0, static_cast<std::int64_t>(sent[0]++)));
+  EXPECT_EQ(box.overflowed(), 1u) << "push " << Mailbox::kRingSlots + 1 << " must overflow";
+  take_in_order(box, Mailbox::kRingSlots + 1, next);
+  EXPECT_EQ(next, sent);
+  EXPECT_EQ(box.size(), 0u);
+  EXPECT_EQ(box.overflowed(), 0u);
+}
+
+TEST(MailboxTransportTest, LateConsumerDrainsLappingProducersExactlyOnce) {
+  // The consumer starts only once the ring is full, then drains while both
+  // producers keep pushing for several more laps: the ring spills into the
+  // overflow list and returns to the ring while slots are being reused.
+  constexpr std::uint64_t kPerProducer = Mailbox::kRingSlots * 4;
+  Mailbox box;
+  box.set_adaptive(true);
+  std::vector<std::thread> producers;
+  for (std::uint64_t p = 0; p < 2; ++p) {
+    producers.emplace_back([&box, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        box.push(Message::cont(0, static_cast<std::int64_t>(p << 32 | i)));
+      }
+    });
+  }
+  while (box.size() < Mailbox::kRingSlots) std::this_thread::yield();
+  std::vector<std::uint64_t> next(2, 0);
+  take_in_order(box, 2 * kPerProducer, next);
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(next, std::vector<std::uint64_t>(2, kPerProducer));
+  EXPECT_EQ(box.size(), 0u);
+}
+
+TEST(MailboxTransportTest, ParkedWaiterIgnoresThePreviousLapsPublishWord) {
+  // After one full lap the head slot still holds the publish word of the
+  // message it carried a lap ago. A waiter on the now-empty mailbox must
+  // not mistake it for a fresh message: it parks (and times out), and then
+  // wakes for the next push.
+  Mailbox box;
+  box.set_adaptive(true);
+  for (std::uint64_t i = 0; i < Mailbox::kRingSlots; ++i) box.push(stamped(0, i));
+  for (std::uint64_t i = 0; i < Mailbox::kRingSlots; ++i) {
+    ASSERT_EQ(unstamp(box.next(MsgKind::kCont, 0)).second, i);
+  }
+  ASSERT_EQ(box.size(), 0u);
+
+  std::atomic<int> parks{0};
+  std::atomic<bool> returned{false};
+  std::optional<Message> got;
+  std::thread timed([&] {
+    got = box.next_for(MsgKind::kCont, 0, std::chrono::milliseconds(50), [&parks] { ++parks; });
+    returned = true;
+  });
+  // A waiter that takes the stale word for a message polls forever and never
+  // checks its deadline; a push after 2 s ends that loop so the test fails
+  // instead of hanging.
+  for (int i = 0; i < 200 && !returned.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (!returned.load()) box.push(Message::cont(0, 1));
+  timed.join();
+  EXPECT_FALSE(got.has_value());
+  ASSERT_EQ(parks.load(), 1) << "the waiter spun on a stale publish word instead of parking";
+
+  std::atomic<bool> parked{false};
+  std::thread waiter([&] {
+    const Message m = box.next(MsgKind::kCont, 0, [&parked] { parked = true; });
+    EXPECT_EQ(m.payload, 77);
+  });
+  while (!parked.load()) std::this_thread::yield();
+  box.push(Message::cont(0, 77));
+  waiter.join();
+  EXPECT_EQ(box.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
