@@ -7,7 +7,6 @@
 
 #include "interp/dispatch_stats.hpp"
 #include "interp/exec_common.hpp"
-#include "interp/jit.hpp"
 #include "interp/machine.hpp"
 #include "ir/module.hpp"
 #include "obs/hooks.hpp"
@@ -469,33 +468,19 @@ ExecArena& thread_arena() {
 }  // namespace
 
 BytecodeExecutor::BytecodeExecutor(Machine& machine, runtime::ThreadRuntime& rt,
-                                   sgx::ColorId me, bool native)
+                                   sgx::ColorId me)
     : m_(machine),
       rt_(rt),
       me_(me),
-      native_(native && machine.jit_ != nullptr),
       arena_(thread_arena()),
       entry_sp_(arena_.sp),
-      // A native-mode executor needs the sampler even with metrics off — the
-      // hotness score that drives promotion comes from the same tick.
-      tally_(DispatchTally::current(/*force_for_jit=*/native && machine.jit_ != nullptr)) {}
+      tally_(DispatchTally::current()) {}
 
 std::int64_t BytecodeExecutor::run(const DecodedFunction* f,
                                    std::span<const std::int64_t> args) {
-  if (native_) {
-    // Promotion point: enter compiled code when published; compile first if
-    // the sampled hotness score crossed the machine's threshold. The load is
-    // acquire so the code bytes (published after the W^X flip) are visible.
-    const NativeCode* nc = f->native_code.load(std::memory_order_acquire);
-    if (nc == nullptr &&
-        f->hot_ticks.load(std::memory_order_relaxed) >= m_.jit_threshold_) {
-      nc = m_.jit_->compile(f);
-    }
-    if (nc != nullptr) return run_native(f, nc, args);
-  }
   const std::size_t base = push_frame(f, args);
   std::vector<std::uint64_t> frame_allocas;
-  return fused_loop(f, base, 0, frame_allocas);
+  return fused_loop(f, base, frame_allocas);
 }
 
 BytecodeExecutor::~BytecodeExecutor() {

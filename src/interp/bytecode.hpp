@@ -29,7 +29,6 @@
 // only if — the offending instruction is actually executed.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -170,11 +169,8 @@ struct PageAlignedAllocator {
 
 using OpVec = std::vector<DecodedOp, PageAlignedAllocator<DecodedOp>>;
 
-struct NativeCode;
-
 /// One function, decoded. Immutable after ProgramCode construction and
-/// shared read-only by every executing thread — except the two native-tier
-/// fields at the tail, which are monotonic atomics.
+/// shared read-only by every executing thread.
 struct DecodedFunction {
   const ir::Function* fn = nullptr;
   std::uint32_t num_args = 0;
@@ -189,34 +185,6 @@ struct DecodedFunction {
   // of ops[i]'s first component; a superinstruction at new index i fused the
   // original ops origin[i] and origin[i]+1. Empty when never fused.
   std::vector<std::uint32_t> origin;
-  // Native tier (ExecMode::kNative, jit.hpp). hot_ticks is the per-chunk
-  // hotness score: the prime-61 dispatch sampler charges its period hits to
-  // the function being executed (not just the opcode — see
-  // DispatchTally::touch), so promotion cannot be fooled by a cold chunk
-  // sharing a hot chunk's opcode mix. native_code is the compiled unit once
-  // the JitEngine promotes this function, published with release ordering
-  // after the W^X flip.
-  mutable std::atomic<std::uint64_t> hot_ticks{0};
-  mutable std::atomic<const NativeCode*> native_code{nullptr};
-
-  DecodedFunction() = default;
-  // Decode/fusion-time only — a function is moved while being built, strictly
-  // before any thread executes it, so relaxed carries of the (then still
-  // zero) native-tier atomics are exact.
-  DecodedFunction(DecodedFunction&& other) noexcept
-      : fn(other.fn),
-        num_args(other.num_args),
-        num_slots(other.num_slots),
-        const_base(other.const_base),
-        const_pool(std::move(other.const_pool)),
-        ops(std::move(other.ops)),
-        phi_pool(std::move(other.phi_pool)),
-        arg_pool(std::move(other.arg_pool)),
-        traps(std::move(other.traps)),
-        origin(std::move(other.origin)),
-        hot_ticks(other.hot_ticks.load(std::memory_order_relaxed)),
-        native_code(other.native_code.load(std::memory_order_relaxed)) {}
-  DecodedFunction& operator=(DecodedFunction&&) = delete;
 };
 
 /// Rewrites @p df in place, peephole-fusing adjacent single-use pairs into
@@ -266,8 +234,6 @@ struct ExecArena {
 
 // Flush the executor's local instruction count into Machine::executed_ at
 // most every this many ops (checked at branch points, where loops must pass).
-// Namespace-scope so the JIT emitter (jit.cpp) bakes the same threshold into
-// compiled flush checks.
 inline constexpr std::uint64_t kCountFlushBatch = 8192;
 
 /// Runs fused bytecode on the current thread. One instance per chunk /
@@ -275,43 +241,20 @@ inline constexpr std::uint64_t kCountFlushBatch = 8192;
 /// the same one-entry memory-region cache.
 class BytecodeExecutor {
  public:
-  /// @p native allows promotion of hot functions to compiled code
-  /// (ExecMode::kNative); otherwise every body runs on fused_loop.
-  BytecodeExecutor(Machine& machine, runtime::ThreadRuntime& rt, sgx::ColorId me,
-                   bool native = false);
+  BytecodeExecutor(Machine& machine, runtime::ThreadRuntime& rt, sgx::ColorId me);
   ~BytecodeExecutor();
   BytecodeExecutor(const BytecodeExecutor&) = delete;
   BytecodeExecutor& operator=(const BytecodeExecutor&) = delete;
 
-  /// Executes @p f with @p args; returns the i64 result (0 for void). In
-  /// native mode this is the promotion point: a function whose hotness score
-  /// has crossed the machine's threshold is compiled here (once) and entered
-  /// natively from then on.
+  /// Executes @p f with @p args; returns the i64 result (0 for void).
   std::int64_t run(const DecodedFunction* f, std::span<const std::int64_t> args);
 
  private:
   /// The direct-threaded dispatch loop (computed goto where available,
-  /// portable switch otherwise) over @p f's fused code, from @p start_pc with
-  /// the frame already pushed at @p base. Also the deopt re-entry point:
-  /// native code that bails mid-call resumes here with the same frame,
-  /// pending count and live allocas, so results and instruction counts are
-  /// identical to never having compiled.
+  /// portable switch otherwise) over @p f's fused code, with the frame
+  /// already pushed at @p base.
   std::int64_t fused_loop(const DecodedFunction* f, std::size_t base,
-                          std::uint32_t start_pc,
                           std::vector<std::uint64_t>& frame_allocas);
-  /// The loop proper, templated on whether the dispatch preamble charges
-  /// per-chunk hotness for JIT promotion. kFused machines take the false
-  /// instantiation, where the hot pointer constant-folds away and the
-  /// dispatch loop is register-for-register the pre-JIT loop — measured ~9%
-  /// on background_tick.
-  template <bool kTrackHot>
-  std::int64_t fused_loop_impl(const DecodedFunction* f, std::size_t base,
-                               std::uint32_t start_pc,
-                               std::vector<std::uint64_t>& frame_allocas);
-  /// Enters @p f's compiled code (native.cpp); handles the deopt and
-  /// fault-unwind exits.
-  std::int64_t run_native(const DecodedFunction* f, const NativeCode* nc,
-                          std::span<const std::int64_t> args);
 
   /// Builds the frame for @p f at the arena watermark and copies args +
   /// constants in. Returns the frame base offset (not a pointer: the arena
@@ -329,12 +272,10 @@ class BytecodeExecutor {
   void flush_counter();
 
   /// Executes one of the eight ops that leave this frame: spawn, cont, wait,
-  /// ack, wait_ack and the three calls. The one handler for them, shared by
-  /// fused_loop (one instantiation per opcode, inlined into its handler) and
-  /// the native tier's big_op thunk (through the untemplated overload). See
-  /// fused.cpp for the frame rule every caller must follow afterwards.
+  /// ack, wait_ack and the three calls — one instantiation per opcode,
+  /// inlined into its fused_loop handler. See fused.cpp for the frame rule
+  /// every caller must follow afterwards.
   template <Op kOp>
-  void runtime_op(const DecodedFunction* f, const DecodedOp& o, std::size_t base);
   void runtime_op(const DecodedFunction* f, const DecodedOp& o, std::size_t base);
   /// The call half of runtime_op: resolves the callee (internal, external or
   /// indirect), gathers the arguments from @p frame and runs it.
@@ -344,16 +285,11 @@ class BytecodeExecutor {
   Machine& m_;
   runtime::ThreadRuntime& rt_;
   sgx::ColorId me_;
-  const bool native_;
   sgx::SimMemory::RegionHandle cache_;
   ExecArena& arena_;        // this thread's shared frame stack
   std::size_t entry_sp_;    // arena watermark at construction, restored by dtor
   std::uint64_t pending_ = 0;
-  DispatchTally* tally_;    // sampled dispatch/hotness counters; null = off
-
-  // native.cpp's helper thunks — the C++ halves of compiled ops — need the
-  // executor's memory fast path, counter and call plumbing.
-  friend struct NativeHelpers;
+  DispatchTally* tally_;    // sampled dispatch counters; null = metrics off
 };
 
 }  // namespace bc

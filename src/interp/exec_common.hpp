@@ -1,8 +1,7 @@
-// Value helpers shared by the bytecode code paths — fused_loop (fused.cpp),
-// the native tier's thunks (native.cpp) and the decoder. They must agree
-// bit-for-bit on value semantics and byte-for-byte on error messages with the
-// tree-walker (the equivalence tests diff them), so the definitions live in
-// one place.
+// Value helpers shared by the bytecode code paths — fused_loop (fused.cpp)
+// and the decoder. They must agree bit-for-bit on value semantics and
+// byte-for-byte on error messages with the tree-walker (the equivalence
+// tests diff them), so the definitions live in one place.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,4 @@
-// The bytecode tier's one dispatch loop (ExecMode::kFused, and the deopt
-// re-entry point of ExecMode::kNative).
+// The bytecode tier's one dispatch loop (ExecMode::kFused).
 //
 // fused_loop() executes fusion.cpp's superinstruction bytecode with
 // direct-threaded dispatch: on GCC/Clang each handler ends by indexing a
@@ -89,51 +88,17 @@ void BytecodeExecutor::runtime_op(const DecodedFunction* f, const DecodedOp& o,
   if ((o.flags & kHasResult) != 0) arena_.stack[base + o.dest] = r;
 }
 
-void BytecodeExecutor::runtime_op(const DecodedFunction* f, const DecodedOp& o,
-                                  std::size_t base) {
-  switch (o.op) {
-    case Op::kSpawn: return runtime_op<Op::kSpawn>(f, o, base);
-    case Op::kCont: return runtime_op<Op::kCont>(f, o, base);
-    case Op::kWait: return runtime_op<Op::kWait>(f, o, base);
-    case Op::kAck: return runtime_op<Op::kAck>(f, o, base);
-    case Op::kWaitAck: return runtime_op<Op::kWaitAck>(f, o, base);
-    case Op::kCallInternal: return runtime_op<Op::kCallInternal>(f, o, base);
-    case Op::kCallExternal: return runtime_op<Op::kCallExternal>(f, o, base);
-    case Op::kCallIndirect: return runtime_op<Op::kCallIndirect>(f, o, base);
-    default: throw InterpError("runtime_op on unexpected opcode");
-  }
-}
-
 std::int64_t BytecodeExecutor::fused_loop(const DecodedFunction* f, std::size_t base,
-                                          std::uint32_t start_pc,
                                           std::vector<std::uint64_t>& frame_allocas) {
-  // Only a kNative machine pays for hotness attribution in the dispatch
-  // preamble; the false instantiation is the unchanged kFused loop.
-  return native_ ? fused_loop_impl<true>(f, base, start_pc, frame_allocas)
-                 : fused_loop_impl<false>(f, base, start_pc, frame_allocas);
-}
-
-template <bool kTrackHot>
-std::int64_t BytecodeExecutor::fused_loop_impl(
-    const DecodedFunction* f, std::size_t base, std::uint32_t start_pc,
-    std::vector<std::uint64_t>& frame_allocas) {
   std::int64_t* frame = arena_.stack.data() + base;
 
   const DecodedOp* ops = f->ops.data();
-  std::uint32_t pc = start_pc;
+  std::uint32_t pc = 0;
   std::int64_t result = 0;
   const DecodedOp* o = nullptr;
   // Local copy so the dispatch preamble never reloads the member across the
   // opaque handler calls (tally_ is fixed for the executor's lifetime).
   DispatchTally* const tally = tally_;
-  // Per-chunk hotness (kNative): the sampler charges its period hits to this
-  // function's score until the function is compiled — after that (including
-  // deopt resumes into this loop) there is nothing left to promote. In the
-  // kTrackHot=false instantiation this folds to nullptr and costs nothing.
-  std::atomic<std::uint64_t>* const hot =
-      kTrackHot && f->native_code.load(std::memory_order_relaxed) == nullptr
-          ? &f->hot_ticks
-          : nullptr;
 
 #if PRIVAGIC_COMPUTED_GOTO
   // Must list every Op in enum order — the static_assert on kNumOps and the
@@ -155,7 +120,7 @@ std::int64_t BytecodeExecutor::fused_loop_impl(
     o = &ops[pc];                                                 \
     ++pc;                                                         \
     ++pending_;                                                   \
-    if (tally != nullptr) tally->touch(o->op, hot);               \
+    if (tally != nullptr) tally->touch(o->op);                    \
     goto* kJump[static_cast<std::size_t>(o->op)];                 \
   } while (0)
   NEXT();
@@ -164,7 +129,7 @@ std::int64_t BytecodeExecutor::fused_loop_impl(
     o = &ops[pc];
     ++pc;
     ++pending_;
-    if (tally != nullptr) tally->touch(o->op, hot);
+    if (tally != nullptr) tally->touch(o->op);
     switch (o->op) {
 #define OPCASE(name) case Op::name:
 #define NEXT() break
@@ -335,9 +300,9 @@ std::int64_t BytecodeExecutor::fused_loop_impl(
       OPCASE(kCopy) { frame[o->dest] = frame[o->a]; }
       NEXT();
 
-      // Ops that leave this frame share one handler with the native tier.
-      // It may run other executors on this thread's arena, so the frame
-      // pointer is reloaded after it (the frame rule above runtime_op).
+      // Ops that leave this frame share one handler, runtime_op. It may run
+      // other executors on this thread's arena, so the frame pointer is
+      // reloaded after it (the frame rule above runtime_op).
 #define RUNTIME_OPCASE(name)                  \
   OPCASE(name) {                              \
     runtime_op<Op::name>(f, *o, base);        \

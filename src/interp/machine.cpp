@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "interp/bytecode.hpp"
-#include "interp/jit.hpp"
 #include "obs/hooks.hpp"
 #include "partition/intrinsics.hpp"
 #include "support/rng.hpp"
@@ -443,13 +442,9 @@ Machine::Machine(const partition::PartitionResult& program, std::uint64_t epc_li
   }
 
   // Decode and fuse after globals and tokens exist: operand lowering bakes
-  // their addresses into the per-function constant pools. kNative compiles
-  // the same fused op stream.
+  // their addresses into the per-function constant pools.
   if (mode_ != ExecMode::kTreeWalk) {
     code_ = std::make_unique<bc::ProgramCode>(*this, /*fuse=*/true);
-  }
-  if (mode_ == ExecMode::kNative && bc::jit_available()) {
-    jit_ = std::make_unique<bc::JitEngine>();
   }
 }
 
@@ -705,21 +700,11 @@ std::int64_t Machine::exec_function(runtime::ThreadRuntime& rt, const ir::Functi
   if (mode_ != ExecMode::kTreeWalk) {
     const bc::DecodedFunction* df = code_->get(fn);
     if (df == nullptr) throw InterpError("cannot execute declaration @" + fn->name());
-    bc::BytecodeExecutor exec(*this, rt, me, /*native=*/mode_ == ExecMode::kNative);
+    bc::BytecodeExecutor exec(*this, rt, me);
     return exec.run(df, args);
   }
   Executor exec(*this, rt, me);
   return exec.run(fn, args);
-}
-
-Machine::JitStats Machine::jit_stats() const {
-  if (jit_ == nullptr) return JitStats{};
-  const bc::JitEngine::Stats s = jit_->stats();
-  return JitStats{s.compiles, s.deopts, s.code_bytes};
-}
-
-const bc::NativeCode* Machine::jit_compile(const bc::DecodedFunction* df) {
-  return jit_ != nullptr ? jit_->compile(df) : nullptr;
 }
 
 std::int64_t Machine::call_external(const ir::Function* callee,
@@ -796,12 +781,12 @@ Result<std::int64_t> Machine::call(const std::string& name, std::vector<std::int
     // the *symptom* of a worker that already died mid-chunk — e.g. a typed
     // EPC-budget fault inside an enclave leaves the driver waiting on a cont
     // that never comes. Prefer the worker's recorded root cause so callers
-    // (and all three engines) see the same typed status either way.
+    // (and both engines) see the same typed status either way.
     if (auto failed = take_worker_error()) return *failed;
     return Result<std::int64_t>(f.status());
   } catch (const sgx::EpcExhausted& e) {
     // A host-side (unsafe-entry) allocation blew a color's budget: same
-    // typed code the worker-side path records, so all tiers and both
+    // typed code the worker-side path records, so both engines and both
     // throw sites look identical to callers.
     return Result<std::int64_t>(Status::error(sgx::EpcExhausted::code(), e.what()));
   } catch (const std::exception& e) {

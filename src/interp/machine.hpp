@@ -49,25 +49,15 @@ namespace bc {
 class ProgramCode;
 class BytecodeExecutor;
 class Decoder;
-class JitEngine;
-struct NativeHelpers;
-struct DecodedFunction;
-struct NativeCode;
 }  // namespace bc
 
-/// Which engine executes function bodies (DESIGN.md §13, §16). kFused is the
-/// default: superinstruction-fused register bytecode on a direct-threaded
-/// dispatch loop (src/interp/fusion.cpp, fused.cpp) — the bytecode tier's one
-/// loop. kTreeWalk is the original AST walker, kept as the reference oracle
-/// (tests/interp_equiv_test.cpp runs every program under all three and
-/// compares against it). kNative runs the fused tier plus tiered promotion:
-/// functions whose per-chunk hotness score crosses the machine's threshold
-/// are template-JIT compiled to x86-64 (src/interp/jit.cpp) and entered
-/// natively from then on, deopting back to the fused loop for unsupported
-/// ops. On hosts without the PRIVAGIC_JIT probe, kNative degrades to kFused
-/// semantics (and identical results — that is the point of the equivalence
-/// matrix).
-enum class ExecMode { kTreeWalk, kFused, kNative };
+/// Which engine executes function bodies (DESIGN.md §9, §13). kFused is the
+/// default and the one production engine: superinstruction-fused register
+/// bytecode on a direct-threaded dispatch loop (src/interp/fusion.cpp,
+/// fused.cpp). kTreeWalk is the original AST walker, kept as the reference
+/// oracle (tests/interp_equiv_test.cpp runs every program under both and
+/// compares the fused results against it).
+enum class ExecMode { kTreeWalk, kFused };
 
 class Machine {
  public:
@@ -225,41 +215,11 @@ class Machine {
     return pointer_auth_.load(std::memory_order_relaxed);
   }
 
-  /// Native-tier promotion threshold (ExecMode::kNative only): a function
-  /// compiles once its sampled hotness score (DecodedFunction::hot_ticks,
-  /// charged in kPeriod quanta by the dispatch sampler) reaches this many
-  /// ticks. 0 promotes every function on first entry (the equivalence and
-  /// crash matrices use this to force native execution); the default keeps
-  /// compilation off one-shot chunks. Configure before the first call().
-  void set_jit_threshold(std::uint64_t hot_ticks) { jit_threshold_ = hot_ticks; }
-  [[nodiscard]] std::uint64_t jit_threshold() const { return jit_threshold_; }
-
-  /// Whether this machine can actually promote to native code: mode is
-  /// kNative and the build/host passed the PRIVAGIC_JIT probe.
-  [[nodiscard]] bool jit_enabled() const { return jit_ != nullptr; }
-
-  /// Native-tier counters (zeros when jit_enabled() is false). Mirrored into
-  /// the jit.compiles / jit.deopts / jit.code_bytes metrics by the obs hooks.
-  struct JitStats {
-    std::uint64_t compiles = 0;
-    std::uint64_t deopts = 0;
-    std::uint64_t code_bytes = 0;
-  };
-  [[nodiscard]] JitStats jit_stats() const;
-
-  /// Compiles @p df to native code immediately, bypassing the promotion
-  /// threshold (nullptr when jit_enabled() is false). --dump-bytecode=native
-  /// uses this to produce provenance listings without executing the program;
-  /// execution promotes through the same JitEngine, so the offsets printed
-  /// are the offsets run.
-  const bc::NativeCode* jit_compile(const bc::DecodedFunction* df);
-
  private:
   friend class Executor;
   friend class bc::ProgramCode;
   friend class bc::BytecodeExecutor;
   friend class bc::Decoder;
-  friend struct bc::NativeHelpers;
 
   void allocate_globals(std::uint64_t epc_limit_bytes);
   [[nodiscard]] sgx::ColorId color_id_of_annotation(const std::string& annotation) const;
@@ -292,14 +252,9 @@ class Machine {
   // address.
   const std::uint64_t generation_;
   std::unique_ptr<sgx::SimMemory> memory_;
-  // The whole program pre-decoded and fused to register bytecode (kFused and
-  // kNative; null in kTreeWalk).
+  // The whole program pre-decoded and fused to register bytecode (kFused;
+  // null in kTreeWalk).
   std::unique_ptr<bc::ProgramCode> code_;
-  // The native-tier compiler (kNative on a PRIVAGIC_JIT host; else null).
-  // Declared before runtimes_ so worker threads are joined and destroyed
-  // before the executable mappings go away.
-  std::unique_ptr<bc::JitEngine> jit_;
-  std::uint64_t jit_threshold_ = kDefaultJitThreshold;
   // One worker group per application (host) thread, §7.3.1.
   mutable std::mutex runtimes_mu_;
   std::map<std::thread::id, std::unique_ptr<runtime::ThreadRuntime>> runtimes_;
@@ -333,13 +288,6 @@ class Machine {
   bool call_path_direct_dispatch_ = true;
   static constexpr std::uint64_t kMaxInstructions = 200'000'000;
   static constexpr std::uint64_t kPointerAuthSecret = 0xC0FFEE123456789Bull;
-  // Default promotion threshold in sampled hot ticks. hot_ticks advances in
-  // kPeriod-sized quanta (one per prime-61 sampler hit), so its value
-  // approximates the dispatched ops attributed to the function: 10k ticks is
-  // ~10k dispatched ops — a few thousand trips around a hot loop or a few
-  // hundred calls of a kvcache-sized chunk body, crossed in the first bench
-  // warmup block, never by one-shot init code.
-  static constexpr std::uint64_t kDefaultJitThreshold = 10'000;
 };
 
 }  // namespace privagic::interp

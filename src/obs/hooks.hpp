@@ -435,35 +435,6 @@ inline void on_epc_fault(std::int64_t color, std::uint64_t bytes, double charged
   }
 }
 
-// -- native tier (JIT; DESIGN.md §16) -----------------------------------------
-
-/// The JitEngine promoted a hot chunk: one compiled unit published.
-inline void on_jit_compile() {
-  if (metrics_enabled()) {
-    static Counter& c = MetricsRegistry::global().counter("jit.compiles");
-    c.add(1);
-  }
-}
-
-/// A native-code call bailed back to the fused interpreter (unsupported op
-/// reached at run time). Pinned under a {"max"} baseline ceiling — a deopt
-/// storm means the legality scan and the emitted code disagree.
-inline void on_jit_deopt() {
-  if (metrics_enabled()) {
-    static Counter& c = MetricsRegistry::global().counter("jit.deopts");
-    c.add(1);
-  }
-}
-
-/// @p bytes of page-rounded executable code mapped by a CodeArena — the
-/// native tier's EPC footprint.
-inline void on_jit_code_bytes(std::uint64_t bytes) {
-  if (metrics_enabled()) {
-    static Counter& c = MetricsRegistry::global().counter("jit.code_bytes");
-    c.add(bytes);
-  }
-}
-
 #else  // !PRIVAGIC_TRACE — every hook is a literal no-op.
 
 [[nodiscard]] inline std::uint64_t msg_send_tick(std::uint8_t) { return 0; }
@@ -494,9 +465,6 @@ inline void on_region_alloc(std::int64_t, std::uint64_t, std::uint64_t) {}
 inline void on_region_free(std::int64_t, std::uint64_t, std::uint64_t) {}
 inline void on_epc_evict(std::int64_t, std::uint64_t, double) {}
 inline void on_epc_fault(std::int64_t, std::uint64_t, double) {}
-inline void on_jit_compile() {}
-inline void on_jit_deopt() {}
-inline void on_jit_code_bytes(std::uint64_t) {}
 
 #endif  // PRIVAGIC_TRACE
 

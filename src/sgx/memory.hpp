@@ -24,8 +24,8 @@
 //     eviction/fault counters move.
 //   * a *hard cap* (hard_limit) on a color's total allocated bytes: the
 //     enforced budget. Exceeding it throws EpcExhausted, which carries
-//     StatusCode::kEpcExhausted and surfaces identically through all three
-//     execution tiers (the tiers share this allocator).
+//     StatusCode::kEpcExhausted and surfaces identically through both
+//     execution engines (the engines share this allocator).
 //
 // The executors' pinned RegionHandle fast path deliberately bypasses the
 // clock: a pinned handle models a hot page whose referenced bit stays set.

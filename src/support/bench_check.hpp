@@ -21,8 +21,8 @@
 //     over treewalk, request throughput): regressions below the floor fail,
 //     improvements never do.
 //   * {"max"}             — one-sided ceiling for counters that must stay
-//     small (jit.deopts on workloads whose hot paths are fully templated):
-//     growth above the ceiling fails, shrinking never does.
+//     small (a fallback or retry count): growth above the ceiling fails,
+//     shrinking never does.
 //
 // check_bench() compares one snapshot against the baselines and reports
 // per-key verdicts; CI fails on any drifted, below-floor, or missing pinned

@@ -1,6 +1,6 @@
 // Generated call trees with colored internal functions (tests/call_tree.hpp)
-// on every engine: tree-walker, fused and native must each return the host
-// evaluator's value, and the bytecode engines must charge exactly the
+// on both engines: the tree-walker and fused must each return the host
+// evaluator's value, and the fused engine must charge exactly the
 // tree-walker's instruction count.
 //
 // These programs nest cross-color calls deeply: an enclave worker waiting
@@ -10,22 +10,22 @@
 // across wait/wait_ack went stale when that arena moved.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <ostream>
 #include <string>
-#include <thread>
 
 #include "call_tree.hpp"
 #include "interp/machine.hpp"
 #include "ir/parser.hpp"
 #include "partition/partitioner.hpp"
+#include "settled_instructions.hpp"
 
 namespace privagic {
 namespace {
 
 using interp::ExecMode;
+using testing::settled_instructions;
 
 struct Case {
   std::size_t functions;
@@ -34,18 +34,6 @@ struct Case {
 
 void PrintTo(const Case& c, std::ostream* os) {
   *os << c.functions << " fns, seed " << c.seed;
-}
-
-std::uint64_t settled_instructions(const interp::Machine& m) {
-  std::uint64_t prev = m.instructions_executed();
-  int stable = 0;
-  for (int i = 0; i < 2000 && stable < 30; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const std::uint64_t now = m.instructions_executed();
-    stable = now == prev ? stable + 1 : 0;
-    prev = now;
-  }
-  return prev;
 }
 
 class CallTreeTest : public ::testing::TestWithParam<Case> {};
@@ -62,12 +50,9 @@ TEST_P(CallTreeTest, EveryEngineMatchesHostEvaluator) {
   ASSERT_TRUE(partitioned.ok()) << partitioned.message();
 
   std::uint64_t tree_instructions = 0;
-  for (const ExecMode mode : {ExecMode::kTreeWalk, ExecMode::kFused, ExecMode::kNative}) {
-    SCOPED_TRACE(mode == ExecMode::kTreeWalk ? "treewalk"
-                 : mode == ExecMode::kFused  ? "fused"
-                                             : "native");
+  for (const ExecMode mode : {ExecMode::kTreeWalk, ExecMode::kFused}) {
+    SCOPED_TRACE(mode == ExecMode::kTreeWalk ? "treewalk" : "fused");
     interp::Machine m(*partitioned.value(), /*epc_limit_bytes=*/0, mode);
-    if (mode == ExecMode::kNative) m.set_jit_threshold(0);
     auto r = m.call("f0", {tree.arg});
     ASSERT_TRUE(r.ok()) << r.message();
     EXPECT_EQ(r.value(), tree.expected);

@@ -1,19 +1,16 @@
-// Differential test: the bytecode engines vs the tree-walker.
+// Differential test: the fused bytecode engine vs the tree-walker.
 //
 // Every PIR fixture (examples/pir/*.pir), the partitioned kvcache program
 // (apps/kvcache/pir_program.hpp), and the fault-injection and pointer-auth
-// configurations run under all three ExecModes — kTreeWalk (the reference
-// oracle), kFused (superinstructions + direct-threaded dispatch), and
-// kNative (template-JIT with promotion forced to the first call, so compiled
-// code — and its deopt/fault exits — actually execute; on non-JIT hosts the
-// mode degrades to kFused and the row still runs) — with identical scripts;
-// the engines must observably agree on
+// configurations run under both ExecModes — kTreeWalk (the reference
+// oracle) and kFused (superinstructions + direct-threaded dispatch) — with
+// identical scripts; the engines must observably agree on
 //   * every call's status and return value (including error messages),
 //   * the external-call log (recording enabled on both),
 //   * final global memory, byte for byte (region snapshots via resolve()),
 //   * per-enclave EPC usage,
 //   * the total instructions-executed counter.
-// The last item is the strictest: the bytecode engines batch their budget
+// The last item is the strictest: the bytecode engine batches its budget
 // accounting, but once counts settle it must have charged exactly the
 // instructions the walker charges (phis uncounted, traps counted, etc.).
 #include <gtest/gtest.h>
@@ -26,7 +23,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/kvcache/pir_program.hpp"
@@ -35,6 +31,7 @@
 #include "partition/partitioner.hpp"
 #include "partition/split_structs.hpp"
 #include "runtime/fault_injector.hpp"
+#include "settled_instructions.hpp"
 
 #ifndef PRIVAGIC_SOURCE_DIR
 #error "PRIVAGIC_SOURCE_DIR must point at the repository root"
@@ -44,6 +41,7 @@ namespace privagic {
 namespace {
 
 using interp::ExecMode;
+using testing::settled_instructions;
 using sectype::Mode;
 using sectype::TypeAnalysis;
 using namespace std::chrono_literals;
@@ -87,23 +85,6 @@ struct Observed {
   std::map<std::int64_t, std::uint64_t> epc;
 };
 
-/// The executed_ counter can lag call() by one worker turn (an enclave's
-/// trailing ret lands after the leader resumes, and a freshly spawned
-/// worker may not have been scheduled yet). Poll until the count holds
-/// still for a sustained window — 1 ms is not enough under a fully loaded
-/// parallel ctest run.
-std::uint64_t settled_instructions(const interp::Machine& m) {
-  std::uint64_t prev = m.instructions_executed();
-  int stable = 0;
-  for (int i = 0; i < 2000 && stable < 30; ++i) {
-    std::this_thread::sleep_for(1ms);
-    const std::uint64_t now = m.instructions_executed();
-    stable = now == prev ? stable + 1 : 0;
-    prev = now;
-  }
-  return prev;
-}
-
 void record_call(interp::Machine& m, Observed& o, const std::string& name,
                  std::vector<std::int64_t> args) {
   auto r = m.call(name, std::move(args));
@@ -118,9 +99,6 @@ Observed run_scenario(
     const std::function<void(interp::Machine&)>& configure,
     const std::function<void(interp::Machine&, Observed&)>& drive) {
   interp::Machine m(program, kEpcLimit, mode);
-  // The native row must execute compiled code, not merely warm up toward the
-  // production threshold: promote every function on first entry.
-  if (mode == ExecMode::kNative) m.set_jit_threshold(0);
   m.set_external_log_enabled(true);
   for (const char* boundary : {"classify", "declassify"}) {
     m.bind_external(boundary, [](interp::Machine::ExternalCtx&,
@@ -131,10 +109,6 @@ Observed run_scenario(
   if (configure) configure(m);
   Observed o;
   drive(m, o);
-  // The native row proves nothing if promotion silently never happened.
-  if (mode == ExecMode::kNative && m.jit_enabled()) {
-    EXPECT_GT(m.jit_stats().compiles, 0u) << "kNative row never compiled";
-  }
   o.instructions = settled_instructions(m);
   o.log = m.external_log();
   for (const auto& g : program.module->globals()) {
@@ -166,23 +140,19 @@ void expect_equivalent(const Observed& tree, const Observed& other,
 }
 
 /// Compiles once per engine (each Machine owns its program view) and runs
-/// the identical script under all three, asserting the fused and native
-/// engines each match the tree-walker on every channel.
+/// the identical script under both, asserting the fused engine matches the
+/// tree-walker on every channel.
 void run_both_and_compare(
     const std::function<Compiled()>& build,
     const std::function<void(interp::Machine&)>& configure,
     const std::function<void(interp::Machine&, Observed&)>& drive) {
   Compiled for_tree = build();
   Compiled for_fused = build();
-  Compiled for_native = build();
   const Observed tree =
       run_scenario(*for_tree.program, ExecMode::kTreeWalk, configure, drive);
   const Observed fused =
       run_scenario(*for_fused.program, ExecMode::kFused, configure, drive);
-  const Observed native =
-      run_scenario(*for_native.program, ExecMode::kNative, configure, drive);
   expect_equivalent(tree, fused, "fused");
-  expect_equivalent(tree, native, "native");
 }
 
 // ---------------------------------------------------------------------------
@@ -311,7 +281,7 @@ TEST(InterpEquivTest, CallPathBatchingOnAndOffAreObservablyIdentical) {
     for (int i = 0; i < 40; ++i) record_call(m, o, "handle_request", {});
     record_call(m, o, "read_stats", {});
   };
-  for (const ExecMode mode : {ExecMode::kTreeWalk, ExecMode::kFused, ExecMode::kNative}) {
+  for (const ExecMode mode : {ExecMode::kTreeWalk, ExecMode::kFused}) {
     Compiled a = compile(std::string(apps::kMinicachedCorePir), Mode::kHardened);
     Compiled b = compile(std::string(apps::kMinicachedCorePir), Mode::kHardened);
     const Observed batched = run_scenario(*a.program, mode, bind_net, drive);
@@ -414,7 +384,7 @@ entry:
 // Each call heap-allocs 64 KiB of colored values that outlive the call, so a
 // hard-capped budget exhausts on a deterministic call index; the typed fault
 // (StatusCode::kEpcExhausted), its message, the instruction counts, and the
-// per-color EPC accounting must agree across all three engines.
+// per-color EPC accounting must agree across both engines.
 TEST(InterpEquivTest, EpcBudgetFaultMatchesAcrossEngines) {
   const char* text = R"(
 module "epcgrow"
@@ -435,7 +405,7 @@ entry:
 }
 )";
   // Record the typed status code alongside the message: the budget fault
-  // must surface as kEpcExhausted (not kGeneric) on every tier.
+  // must surface as kEpcExhausted (not kGeneric) on both engines.
   auto record_typed = [](interp::Machine& m, Observed& o) {
     auto r = m.call("grow", {1});
     o.results.push_back(r.ok() ? "ok " + std::to_string(r.value())
@@ -512,7 +482,7 @@ TEST(InterpEquivTest, PlacementDemoMatchesAcrossEnginesUnderAnyPlacement) {
 // The EpcBudgetFaultMatchesAcrossEngines scenario with a second color merged
 // into the growing enclave group: the shared group budget must trip the same
 // typed fault (kEpcExhausted, allocator wording) at the same call index on
-// every tier when a placement is enforced.
+// both engines when a placement is enforced.
 TEST(InterpEquivTest, EpcBudgetFaultUnderPlacementMatchesAcrossEngines) {
   const char* text = R"(
 module "epcgrow_grouped"

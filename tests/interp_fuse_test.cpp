@@ -10,7 +10,7 @@
 //   * branch targets are remapped through the fused indices.
 // The end-to-end test compiles a PIR module crafted to form every one of
 // the ten superinstructions, checks each mnemonic appears in the fused
-// disassembly, and runs it under all three engines expecting identical
+// disassembly, and runs it under both engines expecting identical
 // results — which keeps the fused_loop jump table honest: a superinstruction
 // missing its handler would diverge (or crash) here.
 #include <gtest/gtest.h>
@@ -294,8 +294,7 @@ TEST(FusePassTest, EverySuperinstructionFormsInTheFixture) {
 }
 
 TEST(FusePassTest, EverySuperinstructionExecutesIdenticallyAcrossEngines) {
-  for (const ExecMode mode :
-       {ExecMode::kTreeWalk, ExecMode::kFused, ExecMode::kNative}) {
+  for (const ExecMode mode : {ExecMode::kTreeWalk, ExecMode::kFused}) {
     Compiled c = compile_all_patterns();
     Machine m(*c.program, /*epc_limit_bytes=*/0, mode);
     auto r = m.call("main", {});

@@ -11,6 +11,9 @@
 //     unsafe memory afterwards (no generator program declassifies, so any
 //     such appearance would be a soundness bug);
 //   * execution must be deterministic (two runs, same results);
+//   * the fused engine must agree with the tree-walker, the reference
+//     oracle: the same result, the same error text and the same settled
+//     instructions_executed() count;
 //   * if the analysis REJECTS, that is fine (the generator is color-blind).
 //
 // This is the adversarial counterpart of the hand-written tests: it has
@@ -28,11 +31,13 @@
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "partition/partitioner.hpp"
+#include "settled_instructions.hpp"
 #include "support/rng.hpp"
 
 namespace privagic {
 namespace {
 
+using interp::ExecMode;
 using sectype::Mode;
 
 // ---------------------------------------------------------------------------
@@ -202,9 +207,11 @@ struct PipelineOutcome {
   std::int64_t result = 0;
   bool leaked = false;
   std::string error;
+  std::uint64_t instructions = 0;
 };
 
-PipelineOutcome run_pipeline(std::uint64_t seed, Mode mode) {
+PipelineOutcome run_pipeline(std::uint64_t seed, Mode mode,
+                             ExecMode engine = ExecMode::kFused) {
   PipelineOutcome out;
   ProgramGenerator gen(seed);
   auto module = gen.generate();
@@ -232,7 +239,7 @@ PipelineOutcome run_pipeline(std::uint64_t seed, Mode mode) {
   const auto out_errors = ir::verify_module(*result.value()->module);
   EXPECT_TRUE(out_errors.empty()) << "seed " << seed << ": " << out_errors.front();
 
-  interp::Machine machine(*result.value());
+  interp::Machine machine(*result.value(), /*epc_limit_bytes=*/0, engine);
 
   // Plant sentinels in every colored global; no generated program can
   // declassify, so the sentinel bytes must never reach unsafe memory.
@@ -249,6 +256,7 @@ PipelineOutcome run_pipeline(std::uint64_t seed, Mode mode) {
   }
 
   auto call = machine.call("main", {static_cast<std::int64_t>(seed % 97)});
+  out.instructions = testing::settled_instructions(machine);
   if (!call.ok()) {
     out.error = call.message();
     return out;
@@ -263,25 +271,45 @@ PipelineOutcome run_pipeline(std::uint64_t seed, Mode mode) {
   return out;
 }
 
+/// Both engines must observe the same outcome of one accepted program.
+void expect_same_outcome(std::uint64_t seed, const PipelineOutcome& tree,
+                         const PipelineOutcome& fused) {
+  EXPECT_EQ(tree.result, fused.result) << "seed " << seed;
+  EXPECT_EQ(tree.error, fused.error) << "seed " << seed;
+  EXPECT_EQ(tree.instructions, fused.instructions) << "seed " << seed;
+}
+
+/// Sentinel non-interference and a clean run, checked on every engine's run.
+void expect_safe(std::uint64_t seed, const PipelineOutcome& outcome, const char* engine) {
+  EXPECT_TRUE(outcome.error.empty()) << "seed " << seed << " (" << engine
+                                     << "): " << outcome.error;
+  EXPECT_FALSE(outcome.leaked) << "seed " << seed << " (" << engine
+                               << ") leaked a sentinel";
+}
+
 class PipelineProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PipelineProperty, AcceptedProgramsRunSafelyInRelaxedMode) {
   const std::uint64_t seed = GetParam();
   const PipelineOutcome first = run_pipeline(seed, Mode::kRelaxed);
   if (!first.accepted) return;
-  EXPECT_TRUE(first.error.empty()) << "seed " << seed << ": " << first.error;
-  EXPECT_FALSE(first.leaked) << "seed " << seed << " leaked a sentinel";
+  expect_safe(seed, first, "fused");
   // Determinism.
   const PipelineOutcome second = run_pipeline(seed, Mode::kRelaxed);
   EXPECT_EQ(first.result, second.result) << "seed " << seed;
+  const PipelineOutcome tree = run_pipeline(seed, Mode::kRelaxed, ExecMode::kTreeWalk);
+  expect_safe(seed, tree, "treewalk");
+  expect_same_outcome(seed, tree, first);
 }
 
 TEST_P(PipelineProperty, AcceptedProgramsRunSafelyInHardenedMode) {
   const std::uint64_t seed = GetParam();
   const PipelineOutcome outcome = run_pipeline(seed, Mode::kHardened);
   if (!outcome.accepted) return;
-  EXPECT_TRUE(outcome.error.empty()) << "seed " << seed << ": " << outcome.error;
-  EXPECT_FALSE(outcome.leaked) << "seed " << seed << " leaked a sentinel";
+  expect_safe(seed, outcome, "fused");
+  const PipelineOutcome tree = run_pipeline(seed, Mode::kHardened, ExecMode::kTreeWalk);
+  expect_safe(seed, tree, "treewalk");
+  expect_same_outcome(seed, tree, outcome);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty, ::testing::Range<std::uint64_t>(0, 120));

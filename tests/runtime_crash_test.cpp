@@ -12,9 +12,7 @@
 //   * a crash with recovery disabled degrades exactly like the pre-§12
 //     runtime: the color is poisoned, waiters drain with a typed fault.
 //
-// All three execution engines (kTreeWalk, kFused, kNative — the last with
-// promotion forced so compiled code is live when the crash hits)
-// run the crash points.
+// Both execution engines (kTreeWalk and kFused) run the crash points.
 // No test sleeps or waits longer than 2 seconds of wall clock.
 #include <gtest/gtest.h>
 
@@ -414,20 +412,14 @@ std::int64_t read_global(interp::Machine& m, const std::string& name,
 
 TEST(MachineCrashTest, ExactlyOnceAtEveryCrashPointOnEveryEngine) {
   for (const interp::ExecMode mode :
-       {interp::ExecMode::kTreeWalk, interp::ExecMode::kFused,
-        interp::ExecMode::kNative}) {
+       {interp::ExecMode::kTreeWalk, interp::ExecMode::kFused}) {
     for (const CrashPoint point :
          {CrashPoint::kWaitEntry, CrashPoint::kPreSend, CrashPoint::kMidBatch,
           CrashPoint::kPostCheckpoint}) {
-      const char* engine = mode == interp::ExecMode::kTreeWalk   ? "treewalk"
-                           : mode == interp::ExecMode::kFused    ? "fused"
-                                                                 : "native";
+      const char* engine = mode == interp::ExecMode::kTreeWalk ? "treewalk" : "fused";
       SCOPED_TRACE(std::string(engine) + "/" + crash_point_name(point));
       CompiledProgram c = compile_two_color();
       interp::Machine m(*c.program, /*epc_limit_bytes=*/0, mode);
-      // The native leg must crash *inside compiled code's* protocol traffic,
-      // not while still warming up: promote on first entry.
-      if (mode == interp::ExecMode::kNative) m.set_jit_threshold(0);
       m.enable_fault_recovery(/*wait_deadline=*/30ms, /*max_retries=*/6);
       CheckpointOptions ckpt;
       ckpt.enabled = true;

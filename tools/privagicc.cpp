@@ -25,22 +25,14 @@
 //                             or a bare metrics JSON) into the interaction
 //                             graph used by --placement and the L310/L311
 //                             lints.
-//   --dump-bytecode[=fused|native]
-//                             print the decoded register bytecode of every
+//   --dump-bytecode[=fused]   print the decoded register bytecode of every
 //                             partitioned function and stop; =fused runs the
 //                             superinstruction pass first and annotates each
-//                             fused op with its pre-fusion origin indices;
-//                             =native additionally template-JIT compiles each
-//                             function and appends a disasm-lite provenance
-//                             listing (emitted code offset + lowering kind —
-//                             inline/helper/deopt — per fused op). On builds
-//                             without the native tier (PRIVAGIC_JIT=0),
-//                             =native prints the fused listing plus a note.
+//                             fused op with its pre-fusion origin indices.
 //   --run ENTRY [ARGS...]     execute an interface on the simulated machine
-//   --engine=tree|fused|native
-//                             the execution engine for --run (default fused):
-//                             the tree-walking reference oracle, the fused
-//                             bytecode loop, or fused plus JIT promotion.
+//   --engine=tree|fused       the execution engine for --run (default fused):
+//                             the tree-walking reference oracle or the fused
+//                             bytecode loop.
 //   --trace-out=FILE          capture a Chrome trace_event JSON of the --run
 //                             execution (load in chrome://tracing / perfetto)
 //
@@ -59,7 +51,6 @@
 #include "analysis/placement.hpp"
 #include "interp/bytecode.hpp"
 #include "interp/disasm.hpp"
-#include "interp/jit.hpp"
 #include "interp/machine.hpp"
 #include "ir/parser.hpp"
 #include "obs/metrics.hpp"
@@ -77,8 +68,8 @@ int usage() {
                "usage: privagicc [--mode=hardened|relaxed] [--split-structs] [--gather-shared]\n"
                "                 [--emit-input] [--emit-partitioned] [--chunks]\n"
                "                 [--colors] [--tcb] [--lint[=json]] [--placement]\n"
-               "                 [--profile=FILE] [--dump-bytecode[=fused|native]]\n"
-               "                 [--run ENTRY [ARGS...]] [--engine=tree|fused|native]\n"
+               "                 [--profile=FILE] [--dump-bytecode[=fused]]\n"
+               "                 [--run ENTRY [ARGS...]] [--engine=tree|fused]\n"
                "                 [--trace-out=FILE] file.pir\n");
   return 2;
 }
@@ -102,7 +93,6 @@ int main(int argc, char** argv) {
   std::string profile_file;
   bool dump_bytecode = false;
   bool dump_fused = false;
-  bool dump_native = false;
   std::string run_entry;
   std::vector<std::int64_t> run_args;
   interp::ExecMode engine = interp::ExecMode::kFused;
@@ -144,16 +134,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--dump-bytecode=fused") {
       dump_bytecode = true;
       dump_fused = true;
-    } else if (arg == "--dump-bytecode=native") {
-      dump_bytecode = true;
-      dump_fused = true;
-      dump_native = true;
     } else if (arg == "--engine=tree") {
       engine = interp::ExecMode::kTreeWalk;
     } else if (arg == "--engine=fused") {
       engine = interp::ExecMode::kFused;
-    } else if (arg == "--engine=native") {
-      engine = interp::ExecMode::kNative;
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       trace_out = arg.substr(std::strlen("--trace-out="));
       if (trace_out.empty()) return usage();
@@ -329,36 +313,12 @@ int main(int argc, char** argv) {
     // A throwaway Machine decodes and fuses the program; its workers never
     // run a call, so construction cost is all there is. The plain listing
     // decodes once more without fusion, against the same address space.
-    // =native uses a kNative machine so the listing compiles through the
-    // same JitEngine that execution promotes through.
-    interp::Machine machine(*result.value(), /*epc_limit_bytes=*/0,
-                            dump_native ? interp::ExecMode::kNative
-                                        : interp::ExecMode::kFused);
-    if (!dump_fused) {
+    interp::Machine machine(*result.value());
+    if (dump_fused) {
+      std::fputs(interp::bc::disassemble_program(machine).c_str(), stdout);
+    } else {
       const interp::bc::ProgramCode plain(machine, /*fuse=*/false);
       std::fputs(interp::bc::disassemble_program(plain).c_str(), stdout);
-      return 0;
-    }
-    if (!dump_native) {
-      std::fputs(interp::bc::disassemble_program(machine).c_str(), stdout);
-      return 0;
-    }
-    if (!machine.jit_enabled()) {
-      std::fputs(interp::bc::disassemble_program(machine).c_str(), stdout);
-      std::fputs("; native tier unavailable (PRIVAGIC_JIT=0 on this build/host)\n",
-                 stdout);
-      return 0;
-    }
-    for (const auto& [fn, df] : machine.program_code()->functions()) {
-      (void)fn;
-      std::fputs(interp::bc::disassemble(*df).c_str(), stdout);
-      const interp::bc::NativeCode* nc = machine.jit_compile(df.get());
-      if (nc != nullptr) {
-        std::fputs(interp::bc::disassemble_native(*df, *nc).c_str(), stdout);
-      } else {
-        std::fputs("; native compile refused (executable mapping failed)\n", stdout);
-      }
-      std::fputs("\n", stdout);
     }
     return 0;
   }
