@@ -5,9 +5,9 @@
 // Intel-sdk-1 implements a switchless call with a lock."
 //
 // Part 1 — real microbenchmark (google-benchmark, wall-clock time): the
-// lock-free SPSC ring vs the lock-based channel vs the runtime Mailbox (the
-// multi-producer ring the interpreter's workers actually talk through, with
-// its (kind, tag) matching), same traffic.
+// runtime's lock-free Mailbox (the multi-producer ring the interpreter's
+// workers talk through, with its (kind, tag) matching) vs the lock-based
+// channel, same traffic.
 // Part 2 — model-level ablation: re-run the Figure 9 hashmap point with
 // Privagic's crossing cost swapped to the lock-based channel, showing how
 // much of Privagic's edge comes from the queue alone.
@@ -19,24 +19,11 @@
 
 #include "ds/harness.hpp"
 #include "runtime/mailbox.hpp"
-#include "runtime/spsc_queue.hpp"
 #include "runtime/switchless.hpp"
 
 namespace {
 
 using namespace privagic;  // NOLINT(google-build-using-namespace)
-
-void BM_SpscSingleThread(benchmark::State& state) {
-  runtime::SpscQueue<std::uint64_t> q(1024);
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    q.push(v);
-    benchmark::DoNotOptimize(q.pop());
-    ++v;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpscSingleThread);
 
 void BM_LockChannelSingleThread(benchmark::State& state) {
   runtime::LockChannel<std::uint64_t> q;
@@ -52,7 +39,6 @@ BENCHMARK(BM_LockChannelSingleThread);
 
 void BM_MailboxSingleThread(benchmark::State& state) {
   runtime::Mailbox box;
-  box.set_adaptive(true);
   std::int64_t v = 0;
   for (auto _ : state) {
     box.push(runtime::Message::cont(0, v));
@@ -62,28 +48,6 @@ void BM_MailboxSingleThread(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MailboxSingleThread);
-
-void BM_SpscPingPong(benchmark::State& state) {
-  runtime::SpscQueue<std::uint64_t> request(64);
-  runtime::SpscQueue<std::uint64_t> response(64);
-  std::thread echo([&] {
-    while (true) {
-      const std::uint64_t v = request.pop();
-      if (v == ~0ull) return;
-      response.push(v + 1);
-    }
-  });
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    request.push(v);
-    benchmark::DoNotOptimize(response.pop());
-    ++v;
-  }
-  request.push(~0ull);
-  echo.join();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpscPingPong);
 
 void BM_LockChannelPingPong(benchmark::State& state) {
   runtime::LockChannel<std::uint64_t> request;
@@ -109,8 +73,6 @@ BENCHMARK(BM_LockChannelPingPong);
 void BM_MailboxPingPong(benchmark::State& state) {
   runtime::Mailbox request;
   runtime::Mailbox response;
-  request.set_adaptive(true);  // the runtime's default wait (RecoveryOptions)
-  response.set_adaptive(true);
   std::thread echo([&] {
     while (true) {
       const runtime::Message m = request.next(runtime::MsgKind::kCont, 0);

@@ -480,9 +480,6 @@ runtime::ThreadRuntime& Machine::runtime_for_current_thread() {
     options.max_retries = recovery_max_retries_;
     options.watchdog_deadline = watchdog_deadline_;
     options.injector = injector_;
-    options.max_batch = call_path_max_batch_;
-    options.adaptive_wait = call_path_adaptive_wait_;
-    options.direct_dispatch = call_path_direct_dispatch_;
     options.checkpoint = crash_recovery_;
     options.color_slot = placement_;
     if (options.checkpoint.enabled) {

@@ -192,18 +192,6 @@ class Machine {
   void set_placement(std::vector<std::size_t> slot_table);
   [[nodiscard]] const std::vector<std::size_t>& placement() const { return placement_; }
 
-  /// Call-path tuning for worker groups created from now on (groups are
-  /// lazy, one per calling host thread — configure before the first call()).
-  /// @p max_batch <= 1 restores push-per-send; @p adaptive_wait toggles the
-  /// mailbox spin→yield→park tiers; @p direct_dispatch toggles same-color
-  /// inline dispatch. Defaults reproduce RecoveryOptions' defaults (batching
-  /// on); bench/call_path measures both configurations in one process.
-  void set_call_path(std::size_t max_batch, bool adaptive_wait, bool direct_dispatch) {
-    call_path_max_batch_ = max_batch;
-    call_path_adaptive_wait_ = adaptive_wait;
-    call_path_direct_dispatch_ = direct_dispatch;
-  }
-
   /// Aggregated recovery/fault counters over every worker group.
   [[nodiscard]] runtime::RuntimeStats::Snapshot runtime_stats() const;
 
@@ -282,10 +270,6 @@ class Machine {
   // call() and read by worker threads afterwards, so no lock is needed.
   std::vector<std::size_t> placement_;
   runtime::FaultInjector* injector_ = nullptr;
-  // Batched call-path configuration (see set_call_path / RecoveryOptions).
-  std::size_t call_path_max_batch_ = runtime::RecoveryOptions{}.max_batch;
-  bool call_path_adaptive_wait_ = true;
-  bool call_path_direct_dispatch_ = true;
   static constexpr std::uint64_t kMaxInstructions = 200'000'000;
   static constexpr std::uint64_t kPointerAuthSecret = 0xC0FFEE123456789Bull;
 };

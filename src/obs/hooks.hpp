@@ -1,7 +1,7 @@
 // Instrumentation call sites for the whole stack, in one place.
 //
-// Each hook is an inline function the runtime (workers/mailbox/spsc_queue),
-// the interpreter (machine/bytecode), and the simulated SGX memory call at
+// Each hook is an inline function the runtime (workers/mailbox), the
+// interpreter (machine/bytecode), and the simulated SGX memory call at
 // their interesting points. A hook does up to two things — emit a trace
 // event (gated on tracing_enabled()) and record a metric (gated on
 // metrics_enabled()) — and does *nothing* but one relaxed load + branch per
@@ -284,21 +284,14 @@ inline void on_mailbox_depth(std::size_t depth) {
 
 /// One sender-side outbox slot delivered as a batch of @p msgs messages
 /// (workers.hpp flush_one). Unsampled: flushes are already coalesced — at
-/// most one per max_batch messages — so the histogram write is off the
-/// per-message path, and the deterministic .count/.sum (= batch_flushes /
-/// batched_messages) are what bench_check pins for bench/call_path.
+/// most one per MessageBatch::kCapacity messages — so the histogram write is
+/// off the per-message path, and the deterministic .count/.sum (=
+/// batch_flushes / batched_messages) are what bench_check pins for
+/// bench/call_path.
 inline void on_batch_flush(std::size_t msgs) {
   if (metrics_enabled()) {
     static Histogram& h = MetricsRegistry::global().histogram("runtime.msgs_per_flush");
     h.record(msgs);
-  }
-}
-
-/// SPSC ring depth observed right after an enqueue (producer side).
-inline void on_spsc_depth(std::size_t depth) {
-  if (metrics_enabled()) {
-    static Histogram& h = MetricsRegistry::global().histogram("spsc.depth_at_push");
-    h.record(depth);
   }
 }
 
@@ -455,7 +448,6 @@ inline void on_checkpoint(std::int64_t, std::int64_t, std::int64_t) {}
 inline void on_restore(std::int64_t, std::int64_t, std::uint8_t) {}
 inline void on_mailbox_depth(std::size_t) {}
 inline void on_batch_flush(std::size_t) {}
-inline void on_spsc_depth(std::size_t) {}
 inline void on_fault_verdict(std::uint8_t) {}
 [[nodiscard]] inline std::uint64_t on_call_enter(std::int64_t, std::int64_t) { return 0; }
 inline void on_call_exit(std::int64_t, std::int64_t, std::int64_t, std::uint64_t) {}

@@ -1,7 +1,5 @@
 #include "runtime/fault_injector.hpp"
 
-#include <cstring>
-
 #include "obs/hooks.hpp"
 
 namespace privagic::runtime {
@@ -132,14 +130,6 @@ void FaultInjector::flush(std::size_t channel, std::vector<Message>& out) {
   if (it == channels_.end()) return;
   for (Held& h : it->second.held) out.push_back(h.message);
   it->second.held.clear();
-}
-
-void FaultInjector::corrupt_bytes(void* data, std::size_t size) {
-  if (size == 0) return;
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto* bytes = static_cast<unsigned char*>(data);
-  const std::uint64_t r = rng_.next();
-  bytes[r % size] ^= static_cast<unsigned char>((r >> 32) | 1);
 }
 
 FaultInjector::Counts FaultInjector::counts() const {

@@ -4,8 +4,8 @@
 // Privagic's queues live in unsafe memory (§7.3.2), so the hardened threat
 // model grants the attacker full control over them: messages can be dropped,
 // duplicated, reordered, corrupted, or delayed at will. The FaultInjector
-// models exactly that attacker, interposed on every Mailbox::push and (when
-// attached) every SpscQueue enqueue/dequeue. Two modes, freely combined:
+// models exactly that attacker, interposed on every Mailbox::push. Two modes,
+// freely combined:
 //
 //   * probabilistic — per-fault-kind probabilities drawn from a seeded
 //     xoshiro256** stream (support/rng.hpp), so a "10% drop rate" sweep
@@ -65,10 +65,6 @@ struct FaultConfig {
   // A delayed message is released after this many later pushes to its
   // channel (reorder always uses 1).
   int delay_crossings = 2;
-  // When true, SpscQueue consumers also consult the injector on dequeue
-  // (drop/corrupt apply; other kinds are no-ops on the pop side). Off by
-  // default so scripted push indices stay easy to reason about.
-  bool fault_pops = false;
 };
 
 class FaultInjector {
@@ -90,11 +86,6 @@ class FaultInjector {
 
   /// Releases every held message of @p channel into @p out (shutdown drain).
   void flush(std::size_t channel, std::vector<Message>& out);
-
-  /// Flips deterministic bits of an arbitrary payload (SpscQueue traffic).
-  void corrupt_bytes(void* data, std::size_t size);
-
-  [[nodiscard]] bool fault_pops() const { return config_.fault_pops; }
 
   /// Injected-fault counts, per kind — the ground truth the RuntimeStats
   /// counters are checked against in deterministic mode.

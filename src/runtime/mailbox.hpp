@@ -44,10 +44,10 @@
 //     check; the injector still filters every message individually, so
 //     scripted fault crossings land on batched slots exactly as on singles.
 //
-// Waiting (set_adaptive): a failed wait pause-spins briefly, then yields for
-// kYieldFor, then parks on a condition variable. A producer touches the park
-// lock only when a sleeper count, read after a seq_cst fence, is non-zero,
-// so a hot request loop runs without a futex call.
+// Waiting: a failed wait pause-spins briefly, then yields for kYieldFor, then
+// parks on a condition variable. A producer touches the park lock only when
+// a sleeper count, read after a seq_cst fence, is non-zero, so a hot request
+// loop runs without a futex call.
 #pragma once
 
 #include <array>
@@ -111,10 +111,6 @@ class Mailbox {
     channel_ = channel;
     injector_.store(injector, std::memory_order_release);
   }
-
-  /// Enables the spin→yield→park wait (off by default so direct Mailbox
-  /// users keep the plain blocking behavior). Configure before traffic starts.
-  void set_adaptive(bool on) { adaptive_.store(on, std::memory_order_relaxed); }
 
   void push(const Message& m) {
     if (m.kind == MsgKind::kStop) {
@@ -378,8 +374,7 @@ class Mailbox {
   std::optional<Message> take(MsgKind kind, std::int64_t tag, bool control_only,
                               std::optional<Clock::time_point> deadline,
                               OnBlock&& on_block) {
-    const bool adaptive = adaptive_.load(std::memory_order_relaxed);
-    std::uint32_t spins = adaptive ? 0 : kPauseIters;
+    std::uint32_t spins = 0;
     Clock::time_point yield_until{};  // set when the yield tier starts
     bool blocked = false;
     while (true) {
@@ -395,7 +390,7 @@ class Mailbox {
         if (deadline.has_value() && now >= *deadline) {
           return poll(kind, tag, control_only, seen);  // last look after the timeout
         }
-        if (spins == kPauseIters && adaptive) {
+        if (spins == kPauseIters) {
           ++spins;
           yield_until = now + kYieldFor;
           if (deadline.has_value() && *deadline - now <= kSpinParkThreshold) {
@@ -426,7 +421,6 @@ class Mailbox {
   // Rarely written flags and the park rendezvous.
   alignas(128) std::atomic<bool> overflow_active_{false};
   std::atomic<bool> stopped_{false};
-  std::atomic<bool> adaptive_{false};
   std::atomic<std::uint32_t> sleepers_{0};
   std::mutex park_mu_;
   std::condition_variable park_cv_;

@@ -100,11 +100,10 @@ struct Message {
 /// the sender-side batching slab (workers.hpp). One MessageBatch per target
 /// color lives inline in the sending thread's OutboxSet, so enqueueing a
 /// message is a single struct copy into pre-owned storage: the batched call
-/// path allocates nothing per message. kCapacity bounds how many messages can
-/// ever be deferred between two flush points; RecoveryOptions::max_batch may
-/// lower (never raise) the effective bound.
+/// path allocates nothing per message. A slot flushes when it holds kCapacity
+/// messages, so at most that many are ever deferred between two flush points.
 struct MessageBatch {
-  static constexpr std::size_t kCapacity = 16;
+  static constexpr std::size_t kCapacity = 8;
 
   std::array<Message, kCapacity> slots{};
   std::size_t count = 0;

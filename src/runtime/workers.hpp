@@ -42,9 +42,9 @@
 // All defaults keep the seed semantics (infinite waits, no watchdog): the
 // recovery machinery activates only through RecoveryOptions.
 //
-// == Batched call path (perf PR; DESIGN.md §11) ==
+// == Batched call path (DESIGN.md §11) ==
 //
-// Sends no longer push the target mailbox directly. Each sending thread owns
+// Sends do not push the target mailbox directly. Each sending thread owns
 // an OutboxSet — a fixed-size slab with one MessageBatch per target color —
 // and send() appends into it: a struct copy into pre-owned storage, no
 // allocation, no lock, no wake. The batch travels as one Mailbox::push_batch
@@ -53,10 +53,10 @@
 // flush_current() before leaving the runtime (the interpreter flushes before
 // external calls and at interface-call return). Because every thread flushes
 // before it can observe or wait on anything, per-(sender,target) FIFO order
-// and the §5 visible-effect barriers are exactly those of the unbatched
-// path; all recovery bookkeeping (seq, MAC, sent log, counters) still
-// happens at enqueue time, so retransmission and the scripted fault
-// crossings are unchanged.
+// and the §5 visible-effect barriers are exactly those of a push per send;
+// all recovery bookkeeping (seq, MAC, sent log, counters) happens at enqueue
+// time, and the injector filters each message of a batch on its own, so
+// retransmission and the scripted fault crossings do not depend on batching.
 //
 // Same-color direct dispatch: a message whose target color IS the sender's
 // own color never needs to cross unsafe memory at all — it is queued on the
@@ -148,26 +148,12 @@ struct RecoveryOptions {
   /// Backoff rounds after the first timeout before the wait gives up. The
   /// attempt deadline doubles each round (d, 2d, 4d, ...).
   int max_retries = 3;
-  /// Re-push the awaited message from the sender-side log on each retry.
-  bool retransmit = true;
   /// Deadline after which the watchdog unwedges a blocked worker with a
   /// kPoison message; 0 disables the watchdog thread. The watchdog itself
   /// tracks blocked episodes at millisecond granularity.
   std::chrono::microseconds watchdog_deadline{0};
   /// Adversarial interposer on every mailbox push (nullptr = clean runs).
   FaultInjector* injector = nullptr;
-  /// Sender-side batching: consecutive sends to the same worker coalesce in
-  /// the sending thread's outbox and cross the mailbox as one push_batch of
-  /// up to this many messages (capped by MessageBatch::kCapacity), flushed
-  /// at every blocking point. <= 1 restores the push-per-send path.
-  std::size_t max_batch = 8;
-  /// Spin→yield→park tiers on mailbox waits (Mailbox::set_adaptive) instead
-  /// of parking immediately, so short round-trips skip the futex sleep.
-  bool adaptive_wait = true;
-  /// Run same-color spawns inline on the sending thread and keep same-color
-  /// cont/ack off the shared queues entirely (see header comment). Elided
-  /// spawns are counted in stats().calls_elided.
-  bool direct_dispatch = true;
   /// Crash recovery (DESIGN.md §12): per-color sealed checkpoints + journal,
   /// re-attestation on restart, optional warm-replica failover. Disabled by
   /// default — a crash then permanently poisons the victim color.
@@ -200,15 +186,13 @@ class ThreadRuntime {
   ThreadRuntime(std::size_t num_colors, ChunkRunner runner, RecoveryOptions options)
       : runner_(std::move(runner)),
         options_(std::move(options)),
-        max_batch_(std::min(options_.max_batch, MessageBatch::kCapacity)),
         // The retransmission log is only ever read from wait_kind's timeout
         // path, and a timeout needs a nonzero deadline — with the wait-forever
         // defaults the log is unreachable, so sends skip the global-mutex +
         // slot-copy bookkeeping entirely (it is ~half the per-message cost on
         // the fault-free hot path).
-        retransmit_live_(options_.retransmit &&
-                         (options_.wait_deadline.count() > 0 ||
-                          options_.app_wait_deadline.count() > 0)),
+        retransmit_live_(options_.wait_deadline.count() > 0 ||
+                         options_.app_wait_deadline.count() > 0),
         seal_secret_(options_.checkpoint.seal_secret != 0
                          ? options_.checkpoint.seal_secret
                          : options_.spawn_secret ^ kSealSalt),
@@ -244,7 +228,6 @@ class ThreadRuntime {
       if (options_.injector != nullptr) {
         mailboxes_[c]->set_injector(options_.injector, c);
       }
-      mailboxes_[c]->set_adaptive(options_.adaptive_wait);
       poisoned_[c].store(false, std::memory_order_relaxed);
       blocked_since_ms_[c].store(kNotBlocked, std::memory_order_relaxed);
       for (auto& a : armed_[c]) a.store(-1, std::memory_order_relaxed);
@@ -705,7 +688,7 @@ class ThreadRuntime {
       // Re-consume the spawn exactly as the first run did: its seq re-enters
       // the dedup window (a retransmitted copy must not re-run the chunk) and
       // a replay-requeued self copy is popped.
-      if (e.msg.seq != 0) seen_[me].insert(e.msg.seq, kSeqWindowCap);
+      if (e.msg.seq != 0) seen_[me].insert(e.msg.seq);
       remove_matching_self_spawn(ob, e.msg);
       run_chunk_journaled(me, e.msg);
     }
@@ -742,7 +725,7 @@ class ThreadRuntime {
       if (e.op == JournalOp::kChunkStart) {
         ++rec.cursor;
         stats_.replay_entries.fetch_add(1, std::memory_order_relaxed);
-        if (e.msg.seq != 0) seen_[me].insert(e.msg.seq, kSeqWindowCap);
+        if (e.msg.seq != 0) seen_[me].insert(e.msg.seq);
         remove_matching_self_spawn(ob, e.msg);
         run_chunk_journaled(me, e.msg);
         continue;
@@ -751,7 +734,7 @@ class ThreadRuntime {
         ++rec.cursor;
         stats_.replay_entries.fetch_add(1, std::memory_order_relaxed);
         if (e.msg.seq != 0) {
-          seen_[me].insert(e.msg.seq, kSeqWindowCap);
+          seen_[me].insert(e.msg.seq);
         } else {
           take_self(ob, kind, tag, /*control_only=*/false);  // keep self aligned
         }
@@ -778,7 +761,7 @@ class ThreadRuntime {
       return false;
     }
     const JournalEntry e = rec.replay[rec.cursor];
-    const bool self = options_.direct_dispatch && target == me;
+    const bool self = target == me;
     if (self && e.op == JournalOp::kSelfSend && same_semantics(e.msg, m)) {
       ++rec.cursor;
       stats_.replay_entries.fetch_add(1, std::memory_order_relaxed);
@@ -1019,7 +1002,7 @@ class ThreadRuntime {
         replay_send(ob.sender, *recovery_[ob.sender], ob, target, m)) {
       return;  // consumed from the journal under its original seq
     }
-    if (options_.direct_dispatch && target == ob.sender) {
+    if (target == ob.sender) {
       if (jrn) journal_append(ob.sender, JournalOp::kSelfSend, target, m);
       ob.self.push_back(m);
       return;
@@ -1035,25 +1018,12 @@ class ThreadRuntime {
       const std::lock_guard<std::mutex> lock(sent_mu_);
       sent_log_[target].push(m, sent_order_++);
     }
-    if (max_batch_ <= 1) {
-      // Unbatched path (max_batch <= 1): push-per-send, as the seed did.
-      // Timestamp before the push (the notify inside can deschedule us — see
-      // msg_send_tick), record after it so the hook body never delays the
-      // receiver's wakeup.
-      const std::uint64_t send_tick =
-          obs::msg_send_tick(static_cast<std::uint8_t>(m.kind));
-      mailboxes_[target]->push(m);
-      obs::on_msg_send(send_tick, target_color, static_cast<std::uint8_t>(m.kind),
-                       m.tag, static_cast<std::int64_t>(m.chunk));
-      return;
-    }
     MessageBatch& b = ob.out[target];
-    if (b.count >= max_batch_) flush_one(ob, target);
+    if (b.count >= MessageBatch::kCapacity) flush_one(ob, target);
     // All protocol bookkeeping happened above, at enqueue time — only the
     // mailbox crossing is deferred. The send event/counter fires here too:
-    // "sent" means "handed to the runtime", and keeping it at enqueue keeps
-    // the trace chain (send before its chunk dispatch) and the deterministic
-    // per-color counters identical to the unbatched path.
+    // "sent" means "handed to the runtime", which keeps the trace chain (send
+    // before its chunk dispatch) and the per-color counters deterministic.
     const std::uint64_t send_tick =
         obs::msg_send_tick(static_cast<std::uint8_t>(m.kind));
     b.push(m);
@@ -1118,7 +1088,7 @@ class ThreadRuntime {
       }
       return false;
     }
-    if (m.seq != 0 && !seen_[me].insert(m.seq, kSeqWindowCap)) {
+    if (m.seq != 0 && !seen_[me].insert(m.seq)) {
       stats_.duplicates_discarded.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
@@ -1207,23 +1177,21 @@ class ThreadRuntime {
       // messages produced by an inline-served spawn below are visible before
       // its sibling cont/ack is returned or awaited.
       flush_outbox(ob);
-      if (options_.direct_dispatch) {
-        if (auto sm = take_self(ob, kind, tag, /*control_only=*/false)) {
-          if (sm->kind == MsgKind::kSpawn) {
-            // Same-color direct dispatch: run the chunk inline on this very
-            // thread — the queue round-trip (and its MAC/seq machinery) is
-            // elided entirely. The runner's own dispatch hook still records
-            // the chunk, so interp.chunks_dispatched totals reconcile with
-            // msg-recv counts + calls_elided.
-            stats_.calls_elided.fetch_add(1, std::memory_order_relaxed);
-            run_chunk_journaled(me, *sm);
-            continue;  // re-flush, keep scanning
-          }
-          // Self deliveries carry seq 0 in the journal; replay's kRecv
-          // handling pops the matching self entry to stay queue-aligned.
-          if (jrn) journal_append(me, JournalOp::kRecv, me, *sm);
-          return *sm;  // matching cont/ack without any crossing
+      if (auto sm = take_self(ob, kind, tag, /*control_only=*/false)) {
+        if (sm->kind == MsgKind::kSpawn) {
+          // Same-color direct dispatch: run the chunk inline on this very
+          // thread — the queue round-trip (and its MAC/seq machinery) is
+          // elided entirely. The runner's own dispatch hook still records
+          // the chunk, so interp.chunks_dispatched totals reconcile with
+          // msg-recv counts + calls_elided.
+          stats_.calls_elided.fetch_add(1, std::memory_order_relaxed);
+          run_chunk_journaled(me, *sm);
+          continue;  // re-flush, keep scanning
         }
+        // Self deliveries carry seq 0 in the journal; replay's kRecv
+        // handling pops the matching self entry to stay queue-aligned.
+        if (jrn) journal_append(me, JournalOp::kRecv, me, *sm);
+        return *sm;  // matching cont/ack without any crossing
       }
       std::optional<Message> m;
       mark_blocked(me, true);
@@ -1251,7 +1219,7 @@ class ThreadRuntime {
         if (attempt >= options_.max_retries) give_up(me, kind, tag, resent);
         ++attempt;
         stats_.retries.fetch_add(1, std::memory_order_relaxed);
-        if (options_.retransmit) resent = retransmit(me, kind, tag) || resent;
+        resent = retransmit(me, kind, tag) || resent;
         attempt_deadline *= 2;  // exponential backoff
         continue;
       }
@@ -1291,21 +1259,19 @@ class ThreadRuntime {
     OutboxSet& ob = thread_outbox(me);
     while (true) {
       flush_outbox(ob);  // idle point: everything deferred becomes visible
-      if (options_.direct_dispatch) {
-        // Serve same-color spawns queued by the chunk that just finished
-        // (its nested waits drain these too; this covers trailing ones).
-        if (auto sm = take_self(ob, MsgKind::kStop, 0, /*control_only=*/true)) {
-          if (sm->kind == MsgKind::kSpawn) {
-            stats_.calls_elided.fetch_add(1, std::memory_order_relaxed);
-            try {
-              run_chunk_journaled(me, *sm);
-            } catch (const WorkerStopped&) {
-              return;
-            } catch (const RuntimeFault&) {
-            }
+      // Serve same-color spawns queued by the chunk that just finished (its
+      // nested waits drain these too; this covers trailing ones).
+      if (auto sm = take_self(ob, MsgKind::kStop, 0, /*control_only=*/true)) {
+        if (sm->kind == MsgKind::kSpawn) {
+          stats_.calls_elided.fetch_add(1, std::memory_order_relaxed);
+          try {
+            run_chunk_journaled(me, *sm);
+          } catch (const WorkerStopped&) {
+            return;
+          } catch (const RuntimeFault&) {
           }
-          continue;
         }
+        continue;
       }
       obs::on_wait_entry();
       maybe_crash_at(me, CrashPoint::kWaitEntry);
@@ -1377,7 +1343,7 @@ class ThreadRuntime {
 
     /// Returns false when @p seq was already consumed (or predates the
     /// window, which the protocol treats the same way).
-    bool insert(std::uint64_t seq, std::size_t /*cap*/) {
+    bool insert(std::uint64_t seq) {
       if (seq > max_seq) {
         const std::uint64_t delta = seq - max_seq;
         if (delta >= kSeqWindowCap) {
@@ -1440,9 +1406,8 @@ class ThreadRuntime {
   ChunkRunner runner_;
   RecoveryOptions options_;
   const std::uint64_t uid_ = next_uid();
-  std::size_t max_batch_ = 1;
   /// Sends mirror into sent_log_ only when a wait timeout can actually reach
-  /// retransmit() (nonzero deadline + retransmit on); see the ctor.
+  /// retransmit() (a nonzero deadline); see the ctor.
   const bool retransmit_live_ = false;
   const std::uint64_t seal_secret_ = 0;  // checkpoint/journal MAC key (§12)
   mutable std::mutex outbox_mu_;

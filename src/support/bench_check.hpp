@@ -15,14 +15,11 @@
 //     ...
 //   }
 //
-// Three entry shapes:
+// Two entry shapes:
 //   * {"value", "tol_pct"} — two-sided drift pin for structural counters.
 //   * {"min"}             — one-sided floor for performance ratios (fused
 //     over treewalk, request throughput): regressions below the floor fail,
 //     improvements never do.
-//   * {"max"}             — one-sided ceiling for counters that must stay
-//     small (a fallback or retry count): growth above the ceiling fails,
-//     shrinking never does.
 //
 // check_bench() compares one snapshot against the baselines and reports
 // per-key verdicts; CI fails on any drifted, below-floor, or missing pinned
@@ -43,8 +40,7 @@ struct BenchCheckFinding {
   double baseline = 0.0;  // pinned value, or the bound for one-sided entries
   double actual = 0.0;
   double tol_pct = 0.0;
-  bool is_floor = false;    // {"min": X} entry: one-sided, actual >= X passes
-  bool is_ceiling = false;  // {"max": X} entry: one-sided, actual <= X passes
+  bool is_floor = false;  // {"min": X} entry: one-sided, actual >= X passes
   bool ok = false;
   std::string note;  // "missing from snapshot", "drift +3.2%", ...
 };
@@ -69,10 +65,9 @@ struct BenchCheckReport {
     }
     for (const auto& f : findings) {
       char line[256];
-      if (f.is_floor || f.is_ceiling) {
-        std::snprintf(line, sizeof line, "%s %-40s %s=%.17g actual=%.17g %s\n",
-                      f.ok ? "OK  " : "FAIL", f.key.c_str(),
-                      f.is_floor ? "floor" : "ceiling", f.baseline, f.actual,
+      if (f.is_floor) {
+        std::snprintf(line, sizeof line, "%s %-40s floor=%.17g actual=%.17g %s\n",
+                      f.ok ? "OK  " : "FAIL", f.key.c_str(), f.baseline, f.actual,
                       f.note.c_str());
       } else {
         std::snprintf(line, sizeof line, "%s %-40s baseline=%.17g actual=%.17g tol=%.3g%% %s\n",
@@ -107,19 +102,16 @@ struct BenchCheckReport {
     f.key = key;
     const json::Value* value = spec.find("value");
     const json::Value* min = spec.find("min");
-    const json::Value* max = spec.find("max");
     const json::Value* tol = spec.find("tol_pct");
     const bool has_value = value != nullptr && value->is_number();
     const bool has_min = min != nullptr && min->is_number();
-    const bool has_max = max != nullptr && max->is_number();
-    if (!has_value && !has_min && !has_max) {
-      f.note = "malformed baseline entry (no numeric 'value', 'min' or 'max')";
+    if (!has_value && !has_min) {
+      f.note = "malformed baseline entry (no numeric 'value' or 'min')";
       report.findings.push_back(f);
       continue;
     }
-    f.is_floor = !has_value && has_min;
-    f.is_ceiling = !has_value && !has_min && has_max;
-    f.baseline = has_value ? value->number : f.is_floor ? min->number : max->number;
+    f.is_floor = !has_value;
+    f.baseline = has_value ? value->number : min->number;
     f.tol_pct = tol != nullptr && tol->is_number() ? tol->number : 0.0;
 
     const json::Value* actual =
@@ -135,12 +127,6 @@ struct BenchCheckReport {
       f.ok = f.actual >= f.baseline;
       if (!f.ok) {
         std::snprintf(buf, sizeof buf, "below floor by %.17g", f.baseline - f.actual);
-        f.note = buf;
-      }
-    } else if (f.is_ceiling) {
-      f.ok = f.actual <= f.baseline;
-      if (!f.ok) {
-        std::snprintf(buf, sizeof buf, "above ceiling by %.17g", f.actual - f.baseline);
         f.note = buf;
       }
     } else {

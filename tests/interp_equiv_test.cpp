@@ -259,45 +259,6 @@ TEST(InterpEquivTest, FaultRecoveryMatchesAcrossEngines) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched call path: the sender-side outbox, adaptive waits, and same-color
-// direct dispatch are pure transport optimizations — every observable channel
-// must match the seed's push-per-send path, under both engines.
-// ---------------------------------------------------------------------------
-
-TEST(InterpEquivTest, CallPathBatchingOnAndOffAreObservablyIdentical) {
-  auto bind_net = [](interp::Machine& m) {
-    auto state = std::make_shared<std::uint64_t>(0x243F6A8885A308D3ull);
-    m.bind_external("net_recv", [state](interp::Machine::ExternalCtx&,
-                                        std::span<const std::int64_t>) {
-      *state = *state * 6364136223846793005ull + 1442695040888963407ull;
-      const std::uint64_t r = *state >> 16;
-      const std::uint64_t op = (r % 10) < 5 ? 0 : (r % 10) < 9 ? 1 : 2;
-      return static_cast<std::int64_t>((op << 62) | ((r % 256) << 32) |
-                                       (r & 0xFFFF));
-    });
-  };
-  auto drive = [](interp::Machine& m, Observed& o) {
-    record_call(m, o, "cache_put", {7, 4242});
-    for (int i = 0; i < 40; ++i) record_call(m, o, "handle_request", {});
-    record_call(m, o, "read_stats", {});
-  };
-  for (const ExecMode mode : {ExecMode::kTreeWalk, ExecMode::kFused}) {
-    Compiled a = compile(std::string(apps::kMinicachedCorePir), Mode::kHardened);
-    Compiled b = compile(std::string(apps::kMinicachedCorePir), Mode::kHardened);
-    const Observed batched = run_scenario(*a.program, mode, bind_net, drive);
-    const Observed unbatched = run_scenario(
-        *b.program, mode,
-        [&](interp::Machine& m) {
-          bind_net(m);
-          m.set_call_path(/*max_batch=*/1, /*adaptive_wait=*/false,
-                          /*direct_dispatch=*/false);
-        },
-        drive);
-    expect_equivalent(batched, unbatched);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // PR-1 pointer-auth configuration (Mode::kHardenedAuth + split structs):
 // MACs, verified loads, and the tamper fault must agree.
 // ---------------------------------------------------------------------------

@@ -199,7 +199,6 @@ TEST(CrashRecoveryTest, CrashDuringBatchedFlushIsExactlyOnce) {
   // the replayed re-push must dedup to nothing, the discarded slab must not
   // leak slots (a leak shows up as a short sum or a wedged second run).
   RecoveryOptions options = crash_options(/*hot_failover=*/false);
-  options.max_batch = 4;  // force real batching on the reply path
   EchoHarness echo(options);
   echo.rt->arm_crash(1, CrashPoint::kMidBatch, /*nth=*/1);
   constexpr std::uint64_t kRounds = 10;

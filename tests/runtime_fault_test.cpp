@@ -25,7 +25,6 @@
 #include "partition/partitioner.hpp"
 #include "runtime/fault_injector.hpp"
 #include "runtime/mailbox.hpp"
-#include "runtime/spsc_queue.hpp"
 #include "runtime/switchless.hpp"
 #include "runtime/workers.hpp"
 #include "support/status.hpp"
@@ -254,6 +253,11 @@ TEST(RecoveryTest, GoBackResendsTheMostRecentSendsAcrossTargets) {
   // most recent sends over all targets. Those are the 3 spawns to color 2
   // and the last 5 to color 1. Seqs count per target (1..20 and 1..3), so
   // ordering the candidates by seq would pick color 1's last 8 instead.
+  //
+  // The sends cross in batches, in send order: color 1's slot flushes at
+  // its 9th and 17th spawn (8 each); the wait flushes its last 4, then color
+  // 2's 3. So crossings 0..22 are exactly the 23 sends, and the go-back
+  // re-pushes (crossings 23..30) pass.
   FaultInjector injector(FaultConfig{});
   for (std::uint64_t i = 0; i < 23; ++i) injector.script(i, FaultKind::kDrop);
 
@@ -261,7 +265,6 @@ TEST(RecoveryTest, GoBackResendsTheMostRecentSendsAcrossTargets) {
   options.wait_deadline = 20ms;
   options.max_retries = 1;  // exactly one retransmit round, then give up
   options.injector = &injector;
-  options.max_batch = 1;    // crossing order == send order
   std::mutex mu;
   std::vector<std::pair<std::size_t, std::uint64_t>> ran;  // (color, chunk)
   ThreadRuntime rt(
@@ -492,53 +495,14 @@ TEST(MailboxFaultTest, StopYieldsToQueuedMatchesAndControl) {
 }
 
 // ---------------------------------------------------------------------------
-// SpscQueue interposition
-// ---------------------------------------------------------------------------
-
-TEST(SpscFaultTest, ScriptedDropAndDuplicateOnTheRing) {
-  FaultInjector injector(FaultConfig{});
-  injector.script(1, FaultKind::kDrop);
-  injector.script(3, FaultKind::kDuplicate);
-
-  SpscQueue<int> q(16);
-  q.set_injector(&injector, /*channel=*/0);
-  for (int i = 0; i < 5; ++i) q.push(i);
-  // Pushed 0..4; 1 dropped, 3 duplicated.
-  std::vector<int> got;
-  int v = 0;
-  while (q.try_pop(v)) got.push_back(v);
-  EXPECT_EQ(got, (std::vector<int>{0, 2, 3, 3, 4}));
-}
-
-TEST(SpscFaultTest, CorruptAndHeldBackValues) {
-  FaultInjector injector(FaultConfig{});
-  injector.script(0, FaultKind::kCorrupt);
-  injector.script(1, FaultKind::kReorder);
-
-  SpscQueue<std::uint64_t> q(16);
-  q.set_injector(&injector, 0);
-  q.push(0xAAAAu);  // corrupted in transit
-  q.push(0xBBBBu);  // held back...
-  EXPECT_EQ(q.held_in_transit(), 1u);
-  q.push(0xCCCCu);  // ...and released behind this one
-  std::uint64_t v = 0;
-  ASSERT_TRUE(q.try_pop(v));
-  EXPECT_NE(v, 0xAAAAu);  // bits flipped
-  ASSERT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 0xCCCCu);
-  ASSERT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 0xBBBBu);  // the reordered value
-  EXPECT_FALSE(q.try_pop(v));
-}
-
-// ---------------------------------------------------------------------------
 // Batched call path: faults land on batched slots exactly as on singles, and
 // the sender-side flush accounting stays exact.
 // ---------------------------------------------------------------------------
 
 TEST(BatchedFaultTest, DropDuplicateReorderOnBatchedSlotsConverge) {
-  // Crossings under the lock-step echo (identical batched or not, because
-  // push_batch advances the injector per message): 0 spawn, 1 req0 (drop,
+  // Crossings under the lock-step echo (push_batch advances the injector per
+  // message, so a batch crosses as its messages would one by one): 0 spawn,
+  // 1 req0 (drop,
   // +1 shift for the retransmit), 3 reply0 (duplicate: the stale copy is
   // discarded by the driver's round-1 wait), 4 req1 (held back until the
   // worker's retransmit releases it, +1 shift; the late original is
@@ -554,7 +518,6 @@ TEST(BatchedFaultTest, DropDuplicateReorderOnBatchedSlotsConverge) {
   options.app_wait_deadline = 400ms;
   options.max_retries = 4;
   options.injector = &injector;
-  options.max_batch = 8;              // pin the batched path explicitly
   EchoHarness echo(options);
   EXPECT_EQ(echo.drive(3), EchoHarness::expected(3));
 
@@ -575,36 +538,9 @@ TEST(BatchedFaultTest, DropDuplicateReorderOnBatchedSlotsConverge) {
   EXPECT_EQ(echo.rt->stats().snapshot().messages_sent, 0u);
 }
 
-TEST(BatchedFaultTest, BatchedAndUnbatchedRecoveriesAgree) {
-  // The same scripted attacker against both call paths: identical sums and
-  // identical idempotence counters, only the flush accounting differs.
-  auto run = [](std::size_t max_batch) {
-    FaultInjector injector(FaultConfig{});
-    injector.script(1, FaultKind::kDrop);
-    injector.script(4, FaultKind::kDuplicate);
-    RecoveryOptions options;
-    options.wait_deadline = 50ms;
-    options.app_wait_deadline = 400ms;
-    options.max_retries = 4;
-    options.injector = &injector;
-    options.max_batch = max_batch;
-    EchoHarness echo(options);
-    EXPECT_EQ(echo.drive(3), EchoHarness::expected(3));
-    return echo.rt->stats_snapshot();
-  };
-  const auto batched = run(8);
-  const auto unbatched = run(1);
-  EXPECT_EQ(batched.messages_sent, unbatched.messages_sent);
-  EXPECT_EQ(batched.duplicates_discarded, unbatched.duplicates_discarded);
-  EXPECT_EQ(batched.retransmits, unbatched.retransmits);
-  EXPECT_EQ(batched.wait_timeouts, unbatched.wait_timeouts);
-  EXPECT_GT(batched.batch_flushes, 0u);
-  EXPECT_EQ(unbatched.batch_flushes, 0u);  // push-per-send path restored
-}
-
 TEST(BatchedFaultTest, CorruptedBatchedSlotIsQuarantinedAndRecovered) {
-  // MAC quarantine on a message that crossed inside a batch: same recovery
-  // as the unbatched corrupt test, batched path pinned explicitly.
+  // MAC quarantine on a message that crossed inside a batch: the same
+  // recovery as RecoveryTest's corrupted-reply case.
   FaultInjector injector(FaultConfig{});
   injector.script(2, FaultKind::kCorrupt);  // round-0 reply payload flipped
 
@@ -614,7 +550,6 @@ TEST(BatchedFaultTest, CorruptedBatchedSlotIsQuarantinedAndRecovered) {
   options.app_wait_deadline = 50ms;
   options.max_retries = 4;
   options.injector = &injector;
-  options.max_batch = 8;
   EchoHarness echo(options);
   EXPECT_EQ(echo.drive(3), EchoHarness::expected(3));
 
@@ -649,26 +584,6 @@ TEST(DirectDispatchTest, SameColorSpawnIsServedInlineWithoutMessages) {
   EXPECT_EQ(s.batch_flushes, 0u);
 }
 
-TEST(DirectDispatchTest, DisablingDirectDispatchRoutesThroughQueues) {
-  std::atomic<int> runs{0};
-  ThreadRuntime* rtp = nullptr;
-  RecoveryOptions options;
-  options.direct_dispatch = false;
-  ThreadRuntime rt(2, [&](std::size_t, std::uint64_t, std::int64_t tags,
-                          std::int64_t leader, std::int64_t) {
-    ++runs;
-    rtp->ack(leader, tags + 200);
-  }, options);
-  rtp = &rt;
-
-  rt.spawn(0, 7, 1000, 0, 0);
-  rt.wait_ack(0, 1200);
-  EXPECT_EQ(runs.load(), 1);
-  const auto s = rt.stats_snapshot();
-  EXPECT_EQ(s.calls_elided, 0u);
-  EXPECT_EQ(s.messages_sent, 2u);  // the spawn and the ack, seq'd and MAC'd
-}
-
 // ---------------------------------------------------------------------------
 // Mailbox push_batch: one crossing, per-message injector filtering
 // ---------------------------------------------------------------------------
@@ -691,7 +606,6 @@ TEST(MailboxFaultTest, PushBatchDeliversInOrderAndFiltersPerMessage) {
 
 TEST(MailboxFaultTest, PushBatchWakesABlockedWaiter) {
   Mailbox box;
-  box.set_adaptive(true);  // exercise the spin→yield→park tiers too
   std::atomic<std::int64_t> got{0};
   std::thread waiter([&] { got = box.next(MsgKind::kCont, 9).payload; });
   std::this_thread::sleep_for(50ms);  // let the waiter reach the parked tier

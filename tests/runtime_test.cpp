@@ -1,7 +1,6 @@
 // Tests for the runtime substrate: mailboxes with kind/tag matching and their
-// ring/overflow transport under concurrent producers, the lock-free SPSC ring,
-// the lock-based switchless channel, and the worker group's re-entrant spawn
-// service.
+// ring/overflow transport under concurrent producers, the lock-based
+// switchless channel, and the worker group's re-entrant spawn service.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "runtime/mailbox.hpp"
-#include "runtime/spsc_queue.hpp"
 #include "runtime/switchless.hpp"
 #include "runtime/workers.hpp"
 
@@ -88,7 +86,6 @@ TEST(MailboxTransportTest, ManyProducersKeepPerSenderFifoAndExactlyOnce) {
   constexpr std::uint64_t kProducers = 3;
   constexpr std::uint64_t kPerProducer = 100'000;
   Mailbox box;
-  box.set_adaptive(true);
   std::vector<std::thread> producers;
   for (std::uint64_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&box, p] {
@@ -194,7 +191,6 @@ TEST(MailboxTransportTest, LateConsumerDrainsLappingProducersExactlyOnce) {
   // overflow list and returns to the ring while slots are being reused.
   constexpr std::uint64_t kPerProducer = Mailbox::kRingSlots * 4;
   Mailbox box;
-  box.set_adaptive(true);
   std::vector<std::thread> producers;
   for (std::uint64_t p = 0; p < 2; ++p) {
     producers.emplace_back([&box, p] {
@@ -217,7 +213,6 @@ TEST(MailboxTransportTest, ParkedWaiterIgnoresThePreviousLapsPublishWord) {
   // not mistake it for a fresh message: it parks (and times out), and then
   // wakes for the next push.
   Mailbox box;
-  box.set_adaptive(true);
   for (std::uint64_t i = 0; i < Mailbox::kRingSlots; ++i) box.push(stamped(0, i));
   for (std::uint64_t i = 0; i < Mailbox::kRingSlots; ++i) {
     ASSERT_EQ(unstamp(box.next(MsgKind::kCont, 0)).second, i);
@@ -251,49 +246,6 @@ TEST(MailboxTransportTest, ParkedWaiterIgnoresThePreviousLapsPublishWord) {
   box.push(Message::cont(0, 77));
   waiter.join();
   EXPECT_EQ(box.size(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// SPSC ring
-// ---------------------------------------------------------------------------
-
-TEST(SpscQueueTest, FifoOrder) {
-  SpscQueue<int> q(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.try_push(i));
-  int out = -1;
-  EXPECT_FALSE(q.try_push(99));  // full
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(q.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(q.try_pop(out));  // empty
-}
-
-TEST(SpscQueueTest, WrapsAroundTheRing) {
-  SpscQueue<int> q(4);
-  int out = 0;
-  for (int round = 0; round < 100; ++round) {
-    EXPECT_TRUE(q.try_push(round));
-    EXPECT_TRUE(q.try_pop(out));
-    EXPECT_EQ(out, round);
-  }
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(SpscQueueTest, CrossThreadStressPreservesSequence) {
-  SpscQueue<std::uint64_t> q(64);
-  constexpr std::uint64_t kCount = 200'000;
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kCount; ++i) q.push(i);
-  });
-  std::uint64_t expected = 0;
-  while (expected < kCount) {
-    const std::uint64_t v = q.pop();
-    ASSERT_EQ(v, expected);
-    ++expected;
-  }
-  producer.join();
-  EXPECT_TRUE(q.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -370,6 +322,25 @@ TEST(ThreadRuntimeTest, NestedSpawnIsServedWhileWaiting) {
   rt.spawn(1, 0, 0, 0, 0);
   rt.wait_ack(0, 200);
   EXPECT_EQ(b_runs.load(), 1);
+}
+
+TEST(ThreadRuntimeTest, OutboxSlotFlushesAtEightMessages) {
+  // Nine sends to one worker with no wait between them: the ninth finds the
+  // slot full and flushes the first eight, and the wait flushes the ninth.
+  // The awaited ack is pushed straight into U's mailbox, and the chunks send
+  // nothing, so no other outbox flush is counted.
+  std::atomic<int> runs{0};
+  ThreadRuntime rt(2, [&](std::size_t, std::uint64_t, std::int64_t, std::int64_t,
+                          std::int64_t) { ++runs; });
+  for (std::uint64_t i = 0; i < 9; ++i) rt.spawn(1, i, 0, 0, 0);
+  rt.inject_raw(0, Message::ack(42));
+  rt.wait_ack(0, 42);
+  const auto s = rt.stats_snapshot();
+  EXPECT_EQ(s.batch_flushes, 2u);
+  EXPECT_EQ(s.batched_messages, 9u);
+  EXPECT_EQ(s.slab_highwater, 8u);
+  rt.shutdown();  // the worker serves every queued spawn before the stop
+  EXPECT_EQ(runs.load(), 9);
 }
 
 // ---------------------------------------------------------------------------
