@@ -30,7 +30,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "apps/kvcache/pir_program.hpp"
 #include "interp/machine.hpp"
@@ -108,19 +107,6 @@ std::unique_ptr<interp::Machine> make_machine(const partition::PartitionResult& 
   return m;
 }
 
-/// Instruction counts settle a beat after call() returns (an enclave
-/// worker's trailing ret may still be in flight); poll until stable.
-std::uint64_t settled_instructions(const interp::Machine& m) {
-  std::uint64_t prev = m.instructions_executed();
-  for (int i = 0; i < 200; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const std::uint64_t now = m.instructions_executed();
-    if (now == prev) return now;
-    prev = now;
-  }
-  return prev;
-}
-
 struct PhaseResult {
   double seconds = 0.0;
   std::uint64_t instructions = 0;
@@ -132,7 +118,7 @@ struct PhaseResult {
 PhaseResult run_background(const partition::PartitionResult& program, ExecMode mode) {
   auto m = make_machine(program, mode);
   for (int i = 0; i < 200; ++i) (void)m->call("background_tick", {});  // warmup
-  const std::uint64_t before = settled_instructions(*m);
+  const std::uint64_t before = m->instructions_executed();
   const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < kBackgroundCalls; ++i) {
     auto r = m->call("background_tick", {});
@@ -144,7 +130,7 @@ PhaseResult run_background(const partition::PartitionResult& program, ExecMode m
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   PhaseResult out;
   out.seconds = elapsed.count();
-  out.instructions = settled_instructions(*m) - before;
+  out.instructions = m->instructions_executed() - before;
   out.calls = kBackgroundCalls;
   return out;
 }
@@ -163,7 +149,7 @@ PhaseResult run_requests(const partition::PartitionResult& program, ExecMode mod
     return static_cast<std::int64_t>((op << 62) | (key << 32) | (r & 0xFFFF));
   });
   for (int i = 0; i < 100; ++i) (void)m->call("handle_request", {});  // warmup
-  const std::uint64_t before = settled_instructions(*m);
+  const std::uint64_t before = m->instructions_executed();
   const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 0; i < kRequestCalls; ++i) {
     auto r = m->call("handle_request", {});
@@ -175,7 +161,7 @@ PhaseResult run_requests(const partition::PartitionResult& program, ExecMode mod
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   PhaseResult out;
   out.seconds = elapsed.count();
-  out.instructions = settled_instructions(*m) - before;
+  out.instructions = m->instructions_executed() - before;
   out.calls = kRequestCalls;
   return out;
 }

@@ -228,6 +228,13 @@ void Decoder::decode(const ir::Function* fn, DecodedFunction& df) {
       df.ops.push_back(trap_op("block fell through without terminator", /*counted=*/false));
     }
   }
+  // A send is never a terminator, so the op after it is in its own block.
+  for (std::size_t i = 0; i + 1 < df.ops.size(); ++i) {
+    const Op op = df.ops[i].op;
+    if ((op == Op::kCont || op == Op::kAck) && df.ops[i + 1].op == Op::kRet) {
+      df.ops[i].flags |= kChargesRet;
+    }
+  }
 
   df.const_base = first_const_;
   df.num_slots = first_const_ + static_cast<std::uint32_t>(df.const_pool.size());
@@ -487,9 +494,11 @@ BytecodeExecutor::~BytecodeExecutor() {
   // Frames above the entry watermark are dead whether we returned or threw;
   // the arena itself outlives us (it is the thread's).
   arena_.sp = entry_sp_;
-  // Unflushed ops (normal return or unwind) still reach the global counter —
-  // instructions_executed() equals the tree-walker's count either way. No
-  // budget check here: destructors must not throw.
+  // Unflushed ops still reach the global counter, so instructions_executed()
+  // equals the tree-walker's count either way. A chunk's trailing ret was
+  // charged with its send, so a returning trampoline flushes 0 here; a send
+  // that threw leaves pending_ at -1 and the wrapping add takes back the ret
+  // it charged ahead. No budget check here: destructors must not throw.
   if (pending_ != 0) m_.executed_.fetch_add(pending_, std::memory_order_relaxed);
 }
 
@@ -516,11 +525,11 @@ std::size_t BytecodeExecutor::push_frame(const DecodedFunction* f,
   return base;
 }
 
-void BytecodeExecutor::flush_counter() {
+void BytecodeExecutor::flush_counter(std::uint64_t ahead) {
   obs::on_budget_flush(pending_);
-  const std::uint64_t total =
-      m_.executed_.fetch_add(pending_, std::memory_order_relaxed) + pending_;
-  pending_ = 0;
+  const std::uint64_t n = pending_ + ahead;
+  const std::uint64_t total = m_.executed_.fetch_add(n, std::memory_order_relaxed) + n;
+  pending_ = 0 - ahead;
   if (total > Machine::kMaxInstructions) {
     throw InterpError("instruction budget exhausted (runaway loop?)");
   }

@@ -19,10 +19,18 @@
 //
 // Instruction accounting is batched: the executor counts locally (one
 // register increment per op) and flushes into Machine::executed_ at branch
-// points every kCountFlushBatch ops (and unconditionally on unwind), so the
-// budget check costs one atomic RMW per few thousand instructions instead of
-// one per instruction, while instructions_executed() observed after a call
-// is exactly the tree-walker's count — including on fault paths.
+// points every kCountFlushBatch ops, before every mailbox op, and
+// unconditionally on unwind, so the budget check costs one atomic RMW per
+// few thousand instructions instead of one per instruction.
+//
+// The charging rule, shared with the tree-walker: everything a thread
+// executes is charged before the message that could release another thread,
+// and a cont/ack immediately followed by a ret charges that ret together
+// with the send (decode marks such sends kChargesRet; the ret is then not
+// charged again). A chunk trampoline ends `ack; ret`, so its last charge
+// lands before the ack that lets the leader resume: instructions_executed()
+// read right after call() returns is exactly the tree-walker's count,
+// whenever the transport delivers the ack — including on fault paths.
 //
 // Decode-time resolution failures (unknown colors in dead code, entry-block
 // phis) become kTrap ops that throw the tree-walker's exact message if — and
@@ -114,6 +122,7 @@ inline constexpr std::uint16_t kSpawnResolved = 1u << 2;  // spawn target color 
 inline constexpr std::uint16_t kBadEdge0 = 1u << 3;       // taking t0 faults (phi gap)
 inline constexpr std::uint16_t kBadEdge1 = 1u << 4;       // taking t1 faults (phi gap)
 inline constexpr std::uint16_t kFusedSwap = 1u << 5;      // fused value is the rhs operand
+inline constexpr std::uint16_t kChargesRet = 1u << 6;     // cont/ack: the next op is a ret
 
 /// One phi-edge parallel-copy: frame[dst] = frame[src] (all reads first).
 struct PhiCopy {
@@ -268,8 +277,11 @@ class BytecodeExecutor {
   std::int64_t mem_load(std::uint64_t addr, std::uint64_t size, unsigned sx_bits);
   void mem_store(std::uint64_t addr, std::int64_t value, std::uint64_t size);
 
-  /// Adds pending_ to the machine-wide counter and enforces the budget.
-  void flush_counter();
+  /// Adds pending_ plus @p ahead not-yet-dispatched ops to the machine-wide
+  /// counter and enforces the budget. pending_ is left at -ahead (mod 2^64):
+  /// the ahead ops' own dispatch brings it back to 0, and if they never run
+  /// the unwind flush takes the charge back.
+  void flush_counter(std::uint64_t ahead = 0);
 
   /// Executes one of the eight ops that leave this frame: spawn, cont, wait,
   /// ack, wait_ack and the three calls — one instantiation per opcode,

@@ -16,7 +16,9 @@
 //    where the unfused pair would have (before executing it), so a fault in
 //    either component leaves the tree-walker's count;
 //  * flush semantics: mailbox ops flush up front, branches flush on the
-//    kCountFlushBatch threshold;
+//    kCountFlushBatch threshold, and a cont/ack marked kChargesRet also
+//    charges the ret after it, so nothing is charged after a send that can
+//    release the leader (the charging rule in bytecode.hpp);
 //  * error messages and fault points (region checks, bad phi edges, traps,
 //    pointer auth, division) match the walker's (the value helpers live in
 //    exec_common.hpp).
@@ -55,9 +57,9 @@ void BytecodeExecutor::runtime_op(const DecodedFunction* f, const DecodedOp& o,
   std::int64_t r = 0;
   // Mailbox ops flush the batched counter up front: a worker that parks in
   // wait() (or hands off control with spawn/cont/ack) must have charged
-  // everything it executed, so instructions_executed() agrees with the
-  // tree-walker at every quiescent point — not just after this executor
-  // unwinds.
+  // everything it executed. A cont/ack right before a ret charges the ret
+  // too, so a chunk's last charge precedes the ack that releases its leader
+  // and instructions_executed() is exact when call() returns.
   if constexpr (kOp == Op::kSpawn) {
     flush_counter();
     const std::int64_t chunk = frame[slots[0]];
@@ -69,13 +71,13 @@ void BytecodeExecutor::runtime_op(const DecodedFunction* f, const DecodedOp& o,
     rt_.spawn(color, static_cast<std::uint64_t>(chunk), frame[slots[1]], frame[slots[2]],
               frame[slots[3]]);
   } else if constexpr (kOp == Op::kCont) {
-    flush_counter();
+    flush_counter((o.flags & kChargesRet) != 0 ? 1 : 0);
     rt_.cont(frame[slots[0]], frame[slots[1]], frame[slots[2]]);
   } else if constexpr (kOp == Op::kWait) {
     flush_counter();
     r = rt_.wait(static_cast<std::size_t>(me_), frame[slots[0]]);
   } else if constexpr (kOp == Op::kAck) {
-    flush_counter();
+    flush_counter((o.flags & kChargesRet) != 0 ? 1 : 0);
     rt_.ack(frame[slots[0]], frame[slots[1]]);
   } else if constexpr (kOp == Op::kWaitAck) {
     flush_counter();

@@ -67,6 +67,7 @@ class Executor {
     const ir::BasicBlock* bb = fn->entry_block();
     const ir::BasicBlock* prev = nullptr;
     std::int64_t result = 0;
+    bool ret_charged = false;  // the send before this ret charged it (exec_call)
 
     while (bb != nullptr) {
       // Phis first, resolved simultaneously against the incoming edge.
@@ -86,10 +87,13 @@ class Executor {
 
       const ir::BasicBlock* next = nullptr;
       bool returned = false;
-      for (const auto& inst_ptr : bb->instructions()) {
-        const ir::Instruction* inst = inst_ptr.get();
+      const auto& insts = bb->instructions();
+      for (std::size_t i = 0; i < insts.size(); ++i) {
+        const ir::Instruction* inst = insts[i].get();
         if (inst->opcode() == ir::Opcode::kPhi) continue;
-        if (++m_.executed_ > Machine::kMaxInstructions) {
+        if (ret_charged) {
+          ret_charged = false;
+        } else if (++m_.executed_ > Machine::kMaxInstructions) {
           throw InterpError("instruction budget exhausted (runaway loop?)");
         }
         switch (inst->opcode()) {
@@ -108,6 +112,11 @@ class Executor {
                                                            : cb->else_block();
             break;
           }
+          case ir::Opcode::kCall:
+            ret_charged = exec_call(
+                frame, static_cast<const ir::CallInst*>(inst),
+                i + 1 < insts.size() && insts[i + 1]->opcode() == ir::Opcode::kRet);
+            break;
           default:
             exec_simple(frame, frame_allocas, inst);
             break;
@@ -262,9 +271,6 @@ class Executor {
       case ir::Opcode::kCast:
         frame[inst] = exec_cast(frame, static_cast<const ir::CastInst*>(inst));
         break;
-      case ir::Opcode::kCall:
-        exec_call(frame, static_cast<const ir::CallInst*>(inst));
-        break;
       case ir::Opcode::kCallIndirect: {
         const auto* c = static_cast<const ir::CallIndirectInst*>(inst);
         auto it = m_.token_fn_.find(eval(frame, c->function_pointer()));
@@ -364,8 +370,12 @@ class Executor {
     throw InterpError("bad cast");
   }
 
-  void exec_call(std::unordered_map<const ir::Value*, std::int64_t>& frame,
-                 const ir::CallInst* call) {
+  /// Executes @p call. The charging rule (bytecode.hpp): a cont/ack with a
+  /// ret right after it (@p ret_follows) charges that ret before sending, so
+  /// nothing is charged after a message that may release the leader. Returns
+  /// true when it charged the ret; a send that throws takes the charge back.
+  bool exec_call(std::unordered_map<const ir::Value*, std::int64_t>& frame,
+                 const ir::CallInst* call, bool ret_follows) {
     const ir::Function* callee = call->callee();
     std::vector<std::int64_t> args;
     args.reserve(call->args().size());
@@ -375,25 +385,36 @@ class Executor {
     const std::string& name = callee->name();
     if (partition::is_intrinsic_name(name)) {
       std::int64_t r = 0;
+      bool charged = false;
       if (name == partition::kIntrinsicSpawn) {
         const auto& chunk = m_.program_.chunks.at(static_cast<std::size_t>(args[0]));
         rt_.spawn(m_.program_.color_id(chunk.color), static_cast<std::uint64_t>(args[0]),
                   args[1], args[2], args[3]);
-      } else if (name == partition::kIntrinsicCont) {
-        rt_.cont(args[0], args[1], args[2]);
+      } else if (name == partition::kIntrinsicCont || name == partition::kIntrinsicAck) {
+        if (ret_follows) ++m_.executed_;
+        try {
+          if (name == partition::kIntrinsicCont) {
+            rt_.cont(args[0], args[1], args[2]);
+          } else {
+            rt_.ack(args[0], args[1]);
+          }
+        } catch (...) {
+          if (ret_follows) --m_.executed_;
+          throw;
+        }
+        charged = ret_follows;
       } else if (name == partition::kIntrinsicWait) {
         r = rt_.wait(static_cast<std::size_t>(me_), args[0]);
-      } else if (name == partition::kIntrinsicAck) {
-        rt_.ack(args[0], args[1]);
       } else {
         rt_.wait_ack(static_cast<std::size_t>(me_), args[0]);
       }
       if (!call->type()->is_void()) frame[call] = r;
-      return;
+      return charged;
     }
 
     const std::int64_t r = dispatch(callee, args);
     if (!call->type()->is_void()) frame[call] = r;
+    return false;
   }
 
   /// Direct or indirect call target: local functions execute on this worker;

@@ -118,7 +118,9 @@ class Machine {
   /// tests inspect listings through this.
   [[nodiscard]] const bc::ProgramCode* program_code() const { return code_.get(); }
 
-  /// Total instructions executed (all workers).
+  /// Total instructions executed (all workers). Exact as soon as call()
+  /// returns, on both engines: every chunk charges its instructions before
+  /// the message that releases its leader (the rule in bytecode.hpp).
   [[nodiscard]] std::uint64_t instructions_executed() const { return executed_; }
 
   /// Attacker hook: injects a forged spawn message directly into a worker's

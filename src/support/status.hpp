@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <variant>
 
 namespace privagic {
 
@@ -65,65 +64,65 @@ class Status {
     return Status(code, std::move(message));
   }
 
-  [[nodiscard]] bool ok() const { return !message_.has_value(); }
+  [[nodiscard]] bool ok() const { return code_ == StatusCode::kOk; }
   [[nodiscard]] StatusCode code() const { return code_; }
   [[nodiscard]] const std::string& message() const {
     static const std::string kOk = "ok";
-    return message_ ? *message_ : kOk;
+    return ok() ? kOk : message_;
   }
 
   explicit operator bool() const { return ok(); }
 
  private:
+  // A failure is never OK, whatever code it was given.
   explicit Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : code_(code == StatusCode::kOk ? StatusCode::kGeneric : code),
+        message_(std::move(message)) {}
   StatusCode code_ = StatusCode::kOk;
-  std::optional<std::string> message_;
+  std::string message_;  // empty while OK
 };
 
 /// A value-or-error sum type. Access to the value of a failed Result throws,
 /// which turns silent misuse into a loud test failure.
+///
+/// The value and the Status are separate members, not a variant, and Status
+/// holds a plain string: every byte a destructor or copy reads is always
+/// constructed. With variant (or optional<string>) storage, GCC 12 could not
+/// prove the paths over unwritten bytes dead and warned
+/// (-Wmaybe-uninitialized) at -O3 and under -fsanitize=address.
 template <typename T>
 class Result {
  public:
-  Result(T value) : storage_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
-  Result(Status status) : storage_(std::move(status)) {  // NOLINT(google-explicit-constructor)
-    if (std::get<Status>(storage_).ok()) {
+  Result(T value) : value_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
+  Result(Status status) : status_(std::move(status)) {  // NOLINT(google-explicit-constructor)
+    if (status_.ok()) {
       throw std::logic_error("Result constructed from an OK status without a value");
     }
   }
 
   static Result error(std::string message) { return Result(Status::error(std::move(message))); }
 
-  [[nodiscard]] bool ok() const { return std::holds_alternative<T>(storage_); }
+  [[nodiscard]] bool ok() const { return value_.has_value(); }
 
   [[nodiscard]] const T& value() const& {
     require_ok();
-    return std::get<T>(storage_);
+    return *value_;
   }
   [[nodiscard]] T& value() & {
     require_ok();
-    return std::get<T>(storage_);
+    return *value_;
   }
   [[nodiscard]] T&& value() && {
     require_ok();
-    return std::get<T>(std::move(storage_));
+    return *std::move(value_);
   }
 
-  [[nodiscard]] const std::string& message() const {
-    static const std::string kOk = "ok";
-    return ok() ? kOk : std::get<Status>(storage_).message();
-  }
+  /// "ok" when the Result holds a value.
+  [[nodiscard]] const std::string& message() const { return status_.message(); }
 
   /// The failure Status (an OK status when the Result holds a value), so
   /// callers can branch on `status().code()`.
-  [[nodiscard]] Status status() const {
-    // Rebuilt from code and message rather than copied: under
-    // -fsanitize=address, GCC 12 cannot prove the copy dead when a T is held
-    // and warns (-Wmaybe-uninitialized) about Status bytes the T never wrote.
-    const Status* failure = std::get_if<Status>(&storage_);
-    return failure != nullptr ? Status::error(failure->code(), failure->message()) : Status();
-  }
+  [[nodiscard]] Status status() const { return status_; }
 
   explicit operator bool() const { return ok(); }
 
@@ -134,7 +133,8 @@ class Result {
     }
   }
 
-  std::variant<T, Status> storage_;
+  std::optional<T> value_;
+  Status status_;
 };
 
 }  // namespace privagic

@@ -19,13 +19,11 @@
 #include "interp/machine.hpp"
 #include "ir/parser.hpp"
 #include "partition/partitioner.hpp"
-#include "settled_instructions.hpp"
 
 namespace privagic {
 namespace {
 
 using interp::ExecMode;
-using testing::settled_instructions;
 
 struct Case {
   std::size_t functions;
@@ -56,7 +54,7 @@ TEST_P(CallTreeTest, EveryEngineMatchesHostEvaluator) {
     auto r = m.call("f0", {tree.arg});
     ASSERT_TRUE(r.ok()) << r.message();
     EXPECT_EQ(r.value(), tree.expected);
-    const std::uint64_t instructions = settled_instructions(m);
+    const std::uint64_t instructions = m.instructions_executed();
     if (mode == ExecMode::kTreeWalk) {
       tree_instructions = instructions;
     } else {

@@ -11,27 +11,30 @@
 //   * per-enclave EPC usage,
 //   * the total instructions-executed counter.
 // The last item is the strictest: the bytecode engine batches its budget
-// accounting, but once counts settle it must have charged exactly the
+// accounting, but when call() returns it must have charged exactly the
 // instructions the walker charges (phis uncounted, traps counted, etc.).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/kvcache/pir_program.hpp"
+#include "interp/bytecode.hpp"
 #include "interp/machine.hpp"
 #include "ir/parser.hpp"
 #include "partition/partitioner.hpp"
 #include "partition/split_structs.hpp"
 #include "runtime/fault_injector.hpp"
-#include "settled_instructions.hpp"
 
 #ifndef PRIVAGIC_SOURCE_DIR
 #error "PRIVAGIC_SOURCE_DIR must point at the repository root"
@@ -41,7 +44,6 @@ namespace privagic {
 namespace {
 
 using interp::ExecMode;
-using testing::settled_instructions;
 using sectype::Mode;
 using sectype::TypeAnalysis;
 using namespace std::chrono_literals;
@@ -109,7 +111,7 @@ Observed run_scenario(
   if (configure) configure(m);
   Observed o;
   drive(m, o);
-  o.instructions = settled_instructions(m);
+  o.instructions = m.instructions_executed();
   o.log = m.external_log();
   for (const auto& g : program.module->globals()) {
     const std::uint64_t addr = m.global_address(g->name());
@@ -225,6 +227,119 @@ TEST(InterpEquivTest, KvcacheMatchesAcrossEngines) {
         for (int i = 0; i < 5; ++i) record_call(m, o, "background_tick", {});
         record_call(m, o, "read_stats", {});
       });
+}
+
+// Exact counts when call() returns. Two client threads, each with its own
+// worker group on one Machine, take strict turns at handle_request and read
+// instructions_executed() straight after every call(). Each call's delta
+// must equal the tree-walker's for the same request, and nothing may be
+// charged between one call's return and the next call's start: a chunk's
+// trailing ret charged after the ack that released the leader would land
+// there, or in the next call's delta.
+struct TurnLog {
+  std::vector<std::string> results;
+  std::vector<std::uint64_t> before, after;  // count read around each call
+};
+
+TurnLog take_turns(const partition::PartitionResult& program, ExecMode mode,
+                   const std::vector<std::int64_t>& requests) {
+  interp::Machine m(program, kEpcLimit, mode);
+  for (const char* boundary : {"classify", "declassify"}) {
+    m.bind_external(boundary, [](interp::Machine::ExternalCtx&,
+                                 std::span<const std::int64_t> a) {
+      return a.empty() ? 0 : a[0];
+    });
+  }
+  for (const char* sink : {"net_send", "log_line"}) {
+    m.bind_external(sink, [](interp::Machine::ExternalCtx&, std::span<const std::int64_t>) {
+      return std::int64_t{0};
+    });
+  }
+  std::size_t next = 0;  // index of the call in flight; guarded by the turn
+  m.bind_external("net_recv", [&](interp::Machine::ExternalCtx&,
+                                  std::span<const std::int64_t>) { return requests[next]; });
+
+  const std::size_t n = requests.size();
+  TurnLog log;
+  log.results.resize(n);
+  log.before.resize(n);
+  log.after.resize(n);
+  std::mutex mu;
+  std::condition_variable cv;
+  auto client = [&](std::size_t me) {
+    for (std::size_t i = me; i < n; i += 2) {
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return next == i; });
+      }
+      log.before[i] = m.instructions_executed();
+      auto r = m.call("handle_request", {});
+      log.after[i] = m.instructions_executed();
+      log.results[i] = r.ok() ? "ok " + std::to_string(r.value()) : "err " + r.message();
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        ++next;
+      }
+      cv.notify_all();
+    }
+  };
+  std::thread a(client, 0);
+  std::thread b(client, 1);
+  a.join();
+  b.join();
+  return log;
+}
+
+TEST(InterpEquivTest, TwoClientCountsAreExactWhenCallReturns) {
+  constexpr std::size_t kCalls = 5000;
+  std::vector<std::int64_t> requests(kCalls);
+  std::uint64_t state = 0x13198A2E03707344ull;
+  for (std::int64_t& req : requests) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const std::uint64_t r = state >> 16;
+    const std::uint64_t op = (r % 10) < 5 ? 0 : (r % 10) < 9 ? 1 : 2;
+    req = static_cast<std::int64_t>((op << 62) | ((r % 256) << 32) | (r & 0xFFFF));
+  }
+  Compiled for_tree = compile(std::string(apps::kMinicachedCorePir), Mode::kHardened);
+  Compiled for_fused = compile(std::string(apps::kMinicachedCorePir), Mode::kHardened);
+  const TurnLog tree = take_turns(*for_tree.program, ExecMode::kTreeWalk, requests);
+  const TurnLog fused = take_turns(*for_fused.program, ExecMode::kFused, requests);
+  for (const TurnLog* log : {&tree, &fused}) {
+    SCOPED_TRACE(log == &tree ? "treewalk" : "fused");
+    std::size_t gaps = 0;
+    for (std::size_t i = 0; i + 1 < kCalls; ++i) {
+      if (log->before[i + 1] != log->after[i]) ++gaps;
+    }
+    EXPECT_EQ(gaps, 0u) << "instructions charged between a call's return and the next call";
+  }
+  EXPECT_EQ(tree.results, fused.results);
+  std::size_t mismatches = 0;
+  std::size_t first = kCalls;
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    if (tree.after[i] - tree.before[i] != fused.after[i] - fused.before[i]) {
+      if (mismatches++ == 0) first = i;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "per-call deltas differ, first at call " << first;
+}
+
+// The fused half of the rule, pinned without timing: every chunk trampoline
+// ends `ack; ret`, and decode marks that ack to charge the ret with it.
+TEST(InterpEquivTest, EveryTrampolineAckChargesItsRet) {
+  Compiled c = compile(std::string(apps::kMinicachedCorePir), Mode::kHardened);
+  interp::Machine m(*c.program, kEpcLimit, ExecMode::kFused);
+  std::size_t trampolines = 0;
+  for (const partition::ChunkInfo& info : c.program->chunks) {
+    if (info.trampoline == nullptr) continue;
+    ++trampolines;
+    const auto& ops = m.program_code()->get(info.trampoline)->ops;
+    ASSERT_GE(ops.size(), 2u);
+    EXPECT_EQ(ops.back().op, interp::bc::Op::kRet) << info.trampoline->name();
+    const interp::bc::DecodedOp& ack = ops[ops.size() - 2];
+    EXPECT_EQ(ack.op, interp::bc::Op::kAck) << info.trampoline->name();
+    EXPECT_NE(ack.flags & interp::bc::kChargesRet, 0) << info.trampoline->name();
+  }
+  EXPECT_GT(trampolines, 0u);
 }
 
 // ---------------------------------------------------------------------------

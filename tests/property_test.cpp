@@ -12,8 +12,10 @@
 //     such appearance would be a soundness bug);
 //   * execution must be deterministic (two runs, same results);
 //   * the fused engine must agree with the tree-walker, the reference
-//     oracle: the same result, the same error text and the same settled
-//     instructions_executed() count;
+//     oracle: the same result, the same error text and the same
+//     instructions_executed() count, read as soon as call() returns (both
+//     engines charge a chunk's last instructions before the message that
+//     releases the caller);
 //   * if the analysis REJECTS, that is fine (the generator is color-blind).
 //
 // This is the adversarial counterpart of the hand-written tests: it has
@@ -31,7 +33,6 @@
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "partition/partitioner.hpp"
-#include "settled_instructions.hpp"
 #include "support/rng.hpp"
 
 namespace privagic {
@@ -256,7 +257,7 @@ PipelineOutcome run_pipeline(std::uint64_t seed, Mode mode,
   }
 
   auto call = machine.call("main", {static_cast<std::int64_t>(seed % 97)});
-  out.instructions = testing::settled_instructions(machine);
+  out.instructions = machine.instructions_executed();
   if (!call.ok()) {
     out.error = call.message();
     return out;
