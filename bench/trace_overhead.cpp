@@ -31,8 +31,12 @@
 // hooks entirely and is by construction not slower than the "off" row here.
 //
 // Artifacts: BENCH_trace_overhead.json (rows + embedded metrics snapshot)
-// and TRACE_kvcache.json, a Chrome trace_event capture of the final traced
-// rep (load it in chrome://tracing or ui.perfetto.dev).
+// and TRACE_kvcache.json, a Chrome trace_event capture of the newest sampled
+// requests of the traced reps (load it in chrome://tracing or
+// ui.perfetto.dev). The snapshot carries the loss accounting Tracer::drain
+// publishes — trace.events_recorded, trace.events_dropped and
+// obs.requests_sampled. Whole requests are sampled by a per-thread count,
+// so these are exact for a fixed call sequence and bench_check pins them.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>

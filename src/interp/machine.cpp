@@ -766,6 +766,10 @@ Result<std::int64_t> Machine::call(const std::string& name, std::vector<std::int
   if (fn == nullptr) {
     return Result<std::int64_t>::error("no interface named @" + name);
   }
+  // One call is one request: sampled or not as a whole, and its id rides in
+  // every message the call sends (obs/hooks.hpp). Opened before the span so
+  // that the span's events belong to it.
+  const obs::RequestScope request;
   // Trace span around the whole interface call (every exit path, including
   // throws, emits the matching kCallExit via the destructor).
   struct CallSpan {
@@ -777,7 +781,7 @@ Result<std::int64_t> Machine::call(const std::string& name, std::vector<std::int
     ~CallSpan() { obs::on_call_exit(sgx::kUnsafe, token, result, start_tick); }
   };
   std::int64_t span_token = -1;
-  if (obs::observing()) {  // don't pay the token lookup with tracing off
+  if (obs::tracing_request()) {  // don't pay the token lookup for an untraced call
     const auto token_it = fn_token_.find(fn);
     if (token_it != fn_token_.end()) span_token = token_it->second;
   }

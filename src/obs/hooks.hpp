@@ -2,11 +2,28 @@
 //
 // Each hook is an inline function the runtime (workers/mailbox), the
 // interpreter (machine/bytecode), and the simulated SGX memory call at
-// their interesting points. A hook does up to two things — emit a trace
-// event (gated on tracing_enabled()) and record a metric (gated on
-// metrics_enabled()) — and does *nothing* but one relaxed load + branch per
+// their interesting points. A hook does up to two things — record a metric
+// (gated on metrics_enabled()) and emit a trace event (gated on
+// tracing_enabled()) — and does *nothing* but one relaxed load + branch per
 // gate when observability is off. With PRIVAGIC_TRACE=0 the bodies compile
 // away entirely.
+//
+// One rule decides what is recorded: counters are exact, everything else is
+// recorded by whole sampled request.
+//   * Counters (sends, receives, chunk dispatches, batch flushes, EPC
+//     traffic) count every occurrence while metrics are on.
+//   * A request is one Machine::call (or a RequestScope a raw ThreadRuntime
+//     user opens). While tracing or metrics are on, one request in
+//     kRequestSamplePeriod is sampled, and its id travels in every Message
+//     it sends; a worker serving one of its spawns adopts the id. A sampled
+//     request records all of its trace events — sends, deliveries, call
+//     spans, every wait segment, chunk dispatches — straight into the ring,
+//     and all of its per-message histogram samples. An unsampled request
+//     records nothing.
+//   * Events that belong to no request — crashes, failovers, checkpoints,
+//     restores, watchdog fires, poisonings, retransmits, fault verdicts, and
+//     region allocations made outside any request — are recorded whenever
+//     tracing is on.
 //
 // Metric instruments are resolved once per hook via function-local statics,
 // so the steady-state cost of an enabled metric is the relaxed atomics of
@@ -18,86 +35,33 @@
 
 namespace privagic::obs {
 
-/// True when any observability sink is live (used to skip clock reads).
+/// True when any observability sink is live.
 inline bool observing() { return tracing_enabled() || metrics_enabled(); }
 
-/// Timestamp source for duration measurements taken by call sites.
-inline std::uint64_t now_ns() {
-#if PRIVAGIC_TRACE
-  return Tracer::instance().now_ns();
-#else
-  return 0;
-#endif
+/// Brackets one request on the calling thread (see the rule above).
+class RequestScope {
+ public:
+  /// Opens a new request and decides whether it is sampled.
+  RequestScope() : RequestScope(PRIVAGIC_TRACE && observing() ? sample_request() : 0) {}
+  /// Serves request @p id, carried by the message being dispatched.
+  explicit RequestScope(std::uint32_t id) { detail::tl_request = id; }
+  ~RequestScope() { detail::tl_request = saved_; }
+  RequestScope(const RequestScope&) = delete;
+  RequestScope& operator=(const RequestScope&) = delete;
+
+ private:
+  std::int64_t saved_ = detail::tl_request;
+};
+
+/// The calling thread's request records its trace events.
+inline bool tracing_request() { return in_sampled_request() && tracing_enabled(); }
+/// Request @p request (a Message::request or current_request()) records its
+/// histogram samples.
+inline bool measuring_request(std::uint32_t request) {
+  return request != 0 && metrics_enabled();
 }
 
-/// Start/stop pair for timing blocked intervals on hot paths: two raw TSC
-/// reads instead of two clock_gettime calls, converted to nanoseconds only
-/// when the interval is recorded. Zero work while observability is off.
-inline std::uint64_t interval_start() {
-#if PRIVAGIC_TRACE
-  return observing() ? raw_tick() : 0;
-#else
-  return 0;
-#endif
-}
-
-inline std::uint64_t interval_end() { return interval_start(); }
-
-/// Hooks that sample their histograms; each gets its own per-thread counter.
-enum class SampleSite { kWaitBegin, kWaitSegment, kMailboxDepth, kBudgetFlush };
-
-/// 1-in-8 sampler for distribution-only histograms on per-message paths: the
-/// shape survives sampling, the hot path drops to a thread-local increment
-/// seven times out of eight. (.count/.sum come back scaled by ~1/8.)
-///
-/// One counter PER SITE, not one shared across hooks: a request executes a
-/// near-fixed pattern of sampled hooks, and when that pattern's length
-/// divides the sampling period the hit lands on the same position every
-/// cycle — a shared counter then starves some sites completely (the
-/// budget-flush histogram stayed empty on runs whose leader happened to
-/// touch exactly 8 sampled hooks per call).
-template <SampleSite>
-inline bool sampled_8th() {
-#if PRIVAGIC_TRACE
-  thread_local std::uint32_t n = 0;
-  return (++n & 7u) == 0;
-#else
-  return false;
-#endif
-}
-
-/// Begin-of-wait timestamp, taken from the mailbox's on-block callback — i.e.
-/// only for segments that actually park (a delivery satisfied straight off
-/// the queue is timed and evented only in verbose capture, via
-/// verbose_wait_begin). In default capture the kWait event is a sampled
-/// diagnostic — 1-in-8 parked segments pay the two TSC reads; the call spans
-/// and dispatch events that anchor the timeline stay exact. Verbose capture
-/// times every segment (the sequence tests pin the full chain on it), and
-/// metrics alone feed the sampled wait_ns histogram the same 1-in-8 way.
-/// Returns 0 for a segment that should not be timed.
-inline std::uint64_t wait_interval_begin() {
-#if PRIVAGIC_TRACE
-  if (tracing_enabled() && trace_verbose()) return raw_tick();
-  if ((tracing_enabled() || metrics_enabled()) &&
-      sampled_8th<SampleSite::kWaitBegin>()) {
-    return raw_tick();
-  }
-#endif
-  return 0;
-}
-
-/// Eager begin-of-wait timestamp for verbose capture, taken before the
-/// mailbox fast-path pop so that EVERY segment — parked or not — leaves a
-/// kWait event (the deterministic event-sequence tests rely on this; default
-/// capture treats a fast-path delivery as instantaneous and skips it).
-inline std::uint64_t verbose_wait_begin() {
-#if PRIVAGIC_TRACE
-  if (tracing_enabled() && trace_verbose()) return raw_tick();
-#endif
-  return 0;
-}
-
-/// Pure arithmetic — no clock read; @p end comes from interval_end().
+/// Nanoseconds between two raw_tick() reads; pure arithmetic.
 inline std::uint64_t interval_ns(std::uint64_t begin, std::uint64_t end) {
 #if PRIVAGIC_TRACE
   if (end <= begin) return 0;
@@ -113,51 +77,24 @@ inline std::uint64_t interval_ns(std::uint64_t begin, std::uint64_t end) {
 
 // -- runtime: message protocol (workers.hpp) ----------------------------------
 
-/// Timestamp for an outgoing message, read BEFORE the mailbox push. The push
-/// notifies the receiver, and on a saturated machine the sender can be
-/// descheduled at that very notify — a timestamp taken after it can postdate
-/// everything the woken receiver records, breaking causal order in the trace.
-/// Returns 0 when the send will not be evented (so the caller skips the
-/// clock read entirely).
-[[nodiscard]] inline std::uint64_t msg_send_tick(std::uint8_t msg_kind) {
-  if (tracing_enabled() && (msg_kind >= 3 || trace_verbose())) return raw_tick();
-  return 0;
-}
-
-/// A sequenced send leaving ThreadRuntime::send, called after the mailbox
-/// push + notify so the hook body never delays the receiver's wakeup; the
-/// event carries the pre-push @p send_tick from msg_send_tick. Staged: the
-/// sender is headed for its own blocking wait (or the worker loop), which
-/// flushes. Default capture records every crossing exactly once, at its
-/// CONSUMER — a spawn as the kChunkDispatch on the target color, a cont/ack
-/// as the receiver's kWait record — so the only sends evented by default are
-/// the rare control kinds (stop/poison); verbose capture adds the
-/// producer-side edges (see trace_verbose). The per-color counter always
-/// counts every send. @p msg_kind is the raw runtime::MsgKind value
-/// (1 = cont, 2 = ack); @p chunk is meaningful for spawns only.
-inline void on_msg_send(std::uint64_t send_tick, std::int64_t target_color,
-                        std::uint8_t msg_kind, std::int64_t tag, std::int64_t chunk) {
-  if (send_tick != 0 && tracing_enabled()) {
-    emit_at_lazy(send_tick, EventKind::kMsgSend, target_color, tag, chunk, msg_kind);
-  }
+/// A send handed to the runtime (ThreadRuntime::send, before the message
+/// enters the outbox, so before any mailbox push). @p msg_kind is the raw
+/// runtime::MsgKind value; @p chunk is meaningful for spawns only.
+inline void on_msg_send(std::int64_t target_color, std::uint8_t msg_kind, std::int64_t tag,
+                        std::int64_t chunk) {
+  if (tracing_request()) emit(EventKind::kMsgSend, target_color, tag, chunk, msg_kind);
   if (metrics_enabled()) {
     static PerColorCounter& sends = MetricsRegistry::global().per_color("runtime.msg_sends");
     sends.add(target_color);
   }
 }
 
-/// A validated control message (spawn) delivered to worker @p me straight off
-/// its mailbox. Deliveries that arrive through a blocking wait are recorded
-/// by kWait instead (its detail carries the matched kind) — see
-/// on_waited_recv — and in the default capture a spawn delivery is
-/// represented by the kChunkDispatch that immediately follows it, so the
-/// explicit kMsgRecv event is verbose-only. Staged: this fires right after
-/// the worker wakes, squarely on the spawn latency path.
+/// A validated spawn delivered to worker @p me, after the worker adopted
+/// its request. Deliveries that come out of a blocking wait are recorded
+/// by the wait's kWait event instead (see on_waited_recv).
 inline void on_msg_recv(std::int64_t me, std::uint8_t msg_kind, std::int64_t tag,
                         std::int64_t payload) {
-  if (tracing_enabled() && trace_verbose()) {
-    emit_at_lazy(raw_tick(), EventKind::kMsgRecv, me, tag, payload, msg_kind);
-  }
+  if (tracing_request()) emit(EventKind::kMsgRecv, me, tag, payload, msg_kind);
   if (metrics_enabled()) {
     static PerColorCounter& recvs = MetricsRegistry::global().per_color("runtime.msg_recvs");
     recvs.add(me);
@@ -165,8 +102,7 @@ inline void on_msg_recv(std::int64_t me, std::uint8_t msg_kind, std::int64_t tag
 }
 
 /// Counter half of a delivery that came out of a blocking wait; the matching
-/// kWait event (emitted by on_wait_segment with detail = kind+1) is the trace
-/// record, so no second event is paid here.
+/// kWait event (on_wait_segment, detail = kind+1) is its trace record.
 inline void on_waited_recv(std::int64_t me) {
   if (metrics_enabled()) {
     static PerColorCounter& recvs = MetricsRegistry::global().per_color("runtime.msg_recvs");
@@ -174,44 +110,28 @@ inline void on_waited_recv(std::int64_t me) {
   }
 }
 
-/// Entering a blocking mailbox wait — an idle moment on the caller's thread;
-/// drain the staged wake-path event from the previous segment, if any.
-inline void on_wait_entry() {
-  if (tracing_enabled()) flush_staged();
+/// Start of one mailbox wait segment: a raw tick inside a sampled request
+/// while observing, 0 (the segment is not timed) otherwise.
+[[nodiscard]] inline std::uint64_t wait_begin_tick() {
+  return in_sampled_request() && observing() ? raw_tick() : 0;
 }
 
-/// One mailbox wait segment finished: worker @p me was parked for
-/// @p blocked_ns waiting on @p tag. @p matched_kind_plus1 is the delivered
-/// message's MsgKind + 1, or 0 when the segment timed out. @p end_tick is the
-/// caller's interval_end() read — 0 for a segment that was not timed, which
-/// covers fast-path deliveries (the message was already queued, nothing
-/// parked) outside verbose capture and unsampled segments in metrics-only
-/// mode. The event is *staged*, not
-/// recorded — the wake→reply path is the runtime's latency floor, so the
-/// ring write is deferred to the thread's next idle point (wait entry, any
-/// later emit, or worker exit).
-inline void on_wait_segment(std::int64_t me, std::int64_t tag, std::uint64_t blocked_ns,
-                            std::uint8_t matched_kind_plus1, std::uint64_t end_tick) {
-  if (tracing_enabled() && end_tick != 0) {
-    emit_at_lazy(end_tick, EventKind::kWait, me, tag,
-                 static_cast<std::int64_t>(blocked_ns), matched_kind_plus1);
+/// One mailbox wait segment of worker @p me on @p tag ended, begun at
+/// @p begin_tick (wait_begin_tick). @p matched_kind_plus1 is the delivered
+/// message's MsgKind + 1, or 0 when the segment timed out.
+inline void on_wait_segment(std::int64_t me, std::int64_t tag, std::uint8_t matched_kind_plus1,
+                            std::uint64_t begin_tick) {
+  if (begin_tick == 0) return;
+  const std::uint64_t end = raw_tick();
+  const std::uint64_t blocked_ns = interval_ns(begin_tick, end);
+  if (tracing_enabled()) {
+    emit_at(end, EventKind::kWait, me, tag, static_cast<std::int64_t>(blocked_ns),
+            matched_kind_plus1);
   }
-  // The histogram sees ~1/8 of segments either way: default capture and
-  // metrics-only mode both time 1-in-8 (end_tick == 0 otherwise); verbose
-  // capture times every segment for the event above, so the post-wake
-  // histogram write re-samples here.
-  if (metrics_enabled() && end_tick != 0 &&
-      (!tracing_enabled() || !trace_verbose() ||
-       sampled_8th<SampleSite::kWaitSegment>())) {
+  if (metrics_enabled()) {
     static Histogram& waits = MetricsRegistry::global().histogram("mailbox.wait_ns");
     waits.record(blocked_ns);
   }
-}
-
-/// A worker thread is exiting; drain its staged slot so the final wait
-/// segment survives into the post-run drain.
-inline void on_worker_exit() {
-  if (tracing_enabled()) flush_staged();
 }
 
 inline void on_retransmit(std::int64_t me, std::int64_t tag) {
@@ -274,9 +194,10 @@ inline void on_restore(std::int64_t color, std::int64_t epoch, std::uint8_t verd
 
 // -- runtime: queues ----------------------------------------------------------
 
-/// Mailbox depth observed right after a push (sampled; see sampled_8th).
-inline void on_mailbox_depth(std::size_t depth) {
-  if (metrics_enabled() && sampled_8th<SampleSite::kMailboxDepth>()) {
+/// Mailbox depth observed right after a push whose last message belongs to
+/// @p request (a batch may be flushed after its sender left the request).
+inline void on_mailbox_depth(std::size_t depth, std::uint32_t request) {
+  if (measuring_request(request)) {
     static Histogram& h = MetricsRegistry::global().histogram("mailbox.depth_at_push");
     h.record(depth);
   }
@@ -307,18 +228,12 @@ inline void on_fault_verdict(std::uint8_t fault_kind) {
 
 // -- interpreter --------------------------------------------------------------
 
-// Call spans and chunk dispatches sit on the request critical path (the
-// caller's partner is parked until the reply), so their events are staged and
-// reach the ring at the thread's next idle point (blocking wait, worker exit,
-// or drain).
-
 /// Interface-call span encoding: ONE duration-carrying kCallExit event per
 /// call instead of an enter/exit pair. on_call_enter only reads the clock and
 /// hands the start tick back to the call site; on_call_exit packs the elapsed
 /// nanoseconds and the function token into the event's `a` field
 /// (a = dur_ns << kCallTokenBits | token) — the writer renders it as a
-/// complete "X" slice. Halves the span's event traffic on the hottest path.
-/// Verbose capture additionally emits the enter edge as its own event.
+/// complete "X" slice. The enter edge is its own kCallEnter event.
 constexpr int kCallTokenBits = 12;
 constexpr std::int64_t kCallTokenMask = (1 << kCallTokenBits) - 1;
 
@@ -330,11 +245,9 @@ inline std::int64_t call_token_index(std::int64_t fn_token) {
 }
 
 [[nodiscard]] inline std::uint64_t on_call_enter(std::int64_t color, std::int64_t fn_token) {
-  if (!tracing_enabled()) return 0;
+  if (!tracing_request()) return 0;
   const std::uint64_t tick = raw_tick();
-  if (trace_verbose()) {
-    emit_at_lazy(tick, EventKind::kCallEnter, color, call_token_index(fn_token));
-  }
+  emit_at(tick, EventKind::kCallEnter, color, call_token_index(fn_token));
   return tick;
 }
 
@@ -343,7 +256,7 @@ inline void on_call_exit(std::int64_t color, std::int64_t fn_token, std::int64_t
   if (tracing_enabled() && start_tick != 0) {
     const std::uint64_t end = raw_tick();
     const std::uint64_t dur_ns = interval_ns(start_tick, end);
-    emit_at_lazy(end, EventKind::kCallExit, color,
+    emit_at(end, EventKind::kCallExit, color,
                  static_cast<std::int64_t>(dur_ns << kCallTokenBits) |
                      call_token_index(fn_token),
                  result);
@@ -352,9 +265,7 @@ inline void on_call_exit(std::int64_t color, std::int64_t fn_token, std::int64_t
 
 /// A spawned chunk started executing on enclave @p color.
 inline void on_chunk_dispatch(std::int64_t color, std::int64_t chunk, std::int64_t leader) {
-  if (tracing_enabled()) {
-    emit_at_lazy(raw_tick(), EventKind::kChunkDispatch, color, chunk, leader);
-  }
+  if (tracing_request()) emit(EventKind::kChunkDispatch, color, chunk, leader);
   if (metrics_enabled()) {
     static PerColorCounter& chunks =
         MetricsRegistry::global().per_color("interp.chunks_dispatched");
@@ -364,10 +275,9 @@ inline void on_chunk_dispatch(std::int64_t color, std::int64_t chunk, std::int64
 
 /// A bytecode executor flushed its batched instruction count (at mailbox ops
 /// and every kCountFlushBatch branch edges) — the instructions-per-call
-/// distribution of §7.3 falls out of these flush sizes (sampled; this is the
-/// single hottest hook, several flushes per request).
+/// distribution of §7.3 falls out of these flush sizes.
 inline void on_budget_flush(std::uint64_t instructions) {
-  if (metrics_enabled() && sampled_8th<SampleSite::kBudgetFlush>()) {
+  if (measuring_request(current_request())) {
     static Histogram& h =
         MetricsRegistry::global().histogram("interp.instructions_per_flush");
     h.record(instructions);
@@ -376,8 +286,10 @@ inline void on_budget_flush(std::uint64_t instructions) {
 
 // -- simulated SGX memory -----------------------------------------------------
 
+/// Region events are request events inside a request and recorded on their
+/// own outside one (e.g. the globals a Machine allocates at construction).
 inline void on_region_alloc(std::int64_t color, std::uint64_t base, std::uint64_t bytes) {
-  if (tracing_enabled()) {
+  if (tracing_enabled() && !in_unsampled_request()) {
     emit(EventKind::kRegionAlloc, color, static_cast<std::int64_t>(base),
          static_cast<std::int64_t>(bytes));
   }
@@ -390,7 +302,7 @@ inline void on_region_alloc(std::int64_t color, std::uint64_t base, std::uint64_
 }
 
 inline void on_region_free(std::int64_t color, std::uint64_t base, std::uint64_t bytes) {
-  if (tracing_enabled()) {
+  if (tracing_enabled() && !in_unsampled_request()) {
     emit(EventKind::kRegionFree, color, static_cast<std::int64_t>(base),
          static_cast<std::int64_t>(bytes));
   }
@@ -430,15 +342,11 @@ inline void on_epc_fault(std::int64_t color, std::uint64_t bytes, double charged
 
 #else  // !PRIVAGIC_TRACE — every hook is a literal no-op.
 
-[[nodiscard]] inline std::uint64_t msg_send_tick(std::uint8_t) { return 0; }
-inline void on_msg_send(std::uint64_t, std::int64_t, std::uint8_t, std::int64_t,
-                        std::int64_t) {}
+inline void on_msg_send(std::int64_t, std::uint8_t, std::int64_t, std::int64_t) {}
 inline void on_msg_recv(std::int64_t, std::uint8_t, std::int64_t, std::int64_t) {}
 inline void on_waited_recv(std::int64_t) {}
-inline void on_wait_entry() {}
-inline void on_wait_segment(std::int64_t, std::int64_t, std::uint64_t, std::uint8_t,
-                            std::uint64_t) {}
-inline void on_worker_exit() {}
+[[nodiscard]] inline std::uint64_t wait_begin_tick() { return 0; }
+inline void on_wait_segment(std::int64_t, std::int64_t, std::uint8_t, std::uint64_t) {}
 inline void on_retransmit(std::int64_t, std::int64_t) {}
 inline void on_watchdog_fire(std::int64_t) {}
 inline void on_worker_poisoned(std::int64_t) {}
@@ -446,7 +354,7 @@ inline void on_worker_crash(std::int64_t, std::uint8_t) {}
 inline void on_failover(std::int64_t, std::int64_t) {}
 inline void on_checkpoint(std::int64_t, std::int64_t, std::int64_t) {}
 inline void on_restore(std::int64_t, std::int64_t, std::uint8_t) {}
-inline void on_mailbox_depth(std::size_t) {}
+inline void on_mailbox_depth(std::size_t, std::uint32_t) {}
 inline void on_batch_flush(std::size_t) {}
 inline void on_fault_verdict(std::uint8_t) {}
 [[nodiscard]] inline std::uint64_t on_call_enter(std::int64_t, std::int64_t) { return 0; }

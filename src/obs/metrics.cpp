@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/trace.hpp"
 #include "support/bench_json.hpp"
 
 namespace privagic::obs {
@@ -12,6 +13,7 @@ std::atomic<bool> g_metrics_enabled{false};
 
 bool metrics_enabled() { return g_metrics_enabled.load(std::memory_order_relaxed); }
 void set_metrics_enabled(bool on) {
+  if (on) restart_request_sampling();
   g_metrics_enabled.store(on, std::memory_order_relaxed);
 }
 

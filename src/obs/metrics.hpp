@@ -183,6 +183,7 @@ class MetricsRegistry {
 
 /// Global switch for the metrics hooks (hooks.hpp): one relaxed load when
 /// off. Tracing and metrics toggle independently — benches measure each.
+/// Switching on restarts request sampling (trace.hpp, sample_request).
 [[nodiscard]] bool metrics_enabled();
 void set_metrics_enabled(bool on);
 

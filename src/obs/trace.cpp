@@ -1,10 +1,23 @@
+// The trace ring, the Tracer registry and the request sampler. What is
+// recorded, and for which requests, is decided by the hooks (hooks.hpp);
+// this file only stores events, counts them and drains them.
 #include "obs/trace.hpp"
 
 #include <algorithm>
 
+#include "obs/metrics.hpp"
+
 namespace privagic::obs {
 
 std::atomic<bool> Tracer::enabled_{false};
+
+namespace {
+// Bumped by every restart_request_sampling(); a thread whose cached value is
+// stale samples its next request.
+std::atomic<std::uint64_t> g_sampling_epoch{1};
+std::atomic<std::uint32_t> g_next_request{1};
+std::atomic<std::uint64_t> g_requests_sampled{0};  // since Tracer::clear()
+}  // namespace
 
 #if !PRIVAGIC_TRACE_TSC
 std::uint64_t raw_tick() {
@@ -96,6 +109,7 @@ void Tracer::enable(std::size_t per_thread_capacity) {
                       .count(),
                   std::memory_order_relaxed);
   epoch_tick_.store(raw_tick(), std::memory_order_relaxed);
+  restart_request_sampling();
   enabled_.store(true, std::memory_order_release);
 }
 
@@ -106,6 +120,8 @@ void Tracer::clear() {
   buffers_.clear();
   next_tid_.store(0, std::memory_order_relaxed);
   generation_.fetch_add(1, std::memory_order_relaxed);
+  g_requests_sampled.store(0, std::memory_order_relaxed);
+  restart_request_sampling();
 }
 
 std::uint64_t Tracer::now_ns() const {
@@ -136,9 +152,6 @@ TraceBuffer& Tracer::local() {
 }
 
 std::vector<TraceBuffer::Drained> Tracer::drain() const {
-#if PRIVAGIC_TRACE
-  flush_staged();  // the draining thread's own staged slot, if any
-#endif
   std::vector<std::shared_ptr<TraceBuffer>> buffers;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -155,11 +168,19 @@ std::vector<TraceBuffer::Drained> Tracer::drain() const {
   const double scale =
       tick_elapsed > 0 ? static_cast<double>(ns_elapsed) / static_cast<double>(tick_elapsed)
                        : 1.0;
+  std::uint64_t retained = 0;
+  std::uint64_t dropped = 0;
   for (auto& d : out) {
+    retained += d.events.size();
+    dropped += d.dropped;
     for (auto& e : d.events) {
       e.tick_ns = static_cast<std::uint64_t>(static_cast<double>(e.tick_ns) * scale);
     }
   }
+  MetricsRegistry& reg = MetricsRegistry::global();
+  reg.counter("trace.events_recorded").set(retained + dropped);
+  reg.counter("trace.events_dropped").set(dropped);
+  reg.counter("obs.requests_sampled").set(g_requests_sampled.load(std::memory_order_relaxed));
   return out;
 }
 
@@ -184,43 +205,37 @@ TraceBuffer& Tracer::cached_local() {
 }
 
 #if PRIVAGIC_TRACE
-namespace {
-std::atomic<bool> g_trace_verbose{false};
-}  // namespace
-
-void set_trace_verbose(bool on) {
-  g_trace_verbose.store(on, std::memory_order_relaxed);
+std::uint32_t sample_request() {
+  struct Local {
+    std::uint64_t epoch = 0;
+    std::uint32_t n = 0;  // requests opened since the epoch began
+  };
+  thread_local Local tl;
+  const std::uint64_t epoch = g_sampling_epoch.load(std::memory_order_relaxed);
+  if (tl.epoch != epoch) {
+    tl.epoch = epoch;
+    tl.n = 0;
+  }
+  if (tl.n++ % kRequestSamplePeriod != 0) return 0;
+  g_requests_sampled.fetch_add(1, std::memory_order_relaxed);
+  std::uint32_t id = g_next_request.fetch_add(1, std::memory_order_relaxed);
+  while (id == 0) id = g_next_request.fetch_add(1, std::memory_order_relaxed);  // wrapped
+  return id;
 }
 
-bool trace_verbose() { return g_trace_verbose.load(std::memory_order_relaxed); }
-
-namespace {
-// The lazy-emit staging buffer (see emit_at_lazy in trace.hpp). Sized to hold
-// every event one request can stage on a thread between idle points (call
-// enter/exit + a few wait segments + a dispatch); overflowing just flushes.
-constexpr int kStagedCap = 8;
-thread_local TraceEvent tl_staged[kStagedCap];
-thread_local int tl_staged_n = 0;
-}  // namespace
-
-void flush_staged() {
-  if (tl_staged_n == 0) return;
-  TraceBuffer& buf = Tracer::instance().cached_local();
-  for (int i = 0; i < tl_staged_n; ++i) buf.record(tl_staged[i]);
-  tl_staged_n = 0;
+void restart_request_sampling() {
+  g_sampling_epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
 void emit_at(std::uint64_t tick, EventKind kind, std::int64_t color, std::int64_t a,
              std::int64_t b, std::uint8_t detail) {
-  // Hot path: one TLS generation check, one ring store. Staged events are NOT
-  // flushed here — an eager emit may land in the ring ahead of older staged
-  // events; consumers (trace_writer, tests) order by timestamp, not ring slot.
   Tracer& tracer = Tracer::instance();
   TraceEvent e;
   e.tick_ns = tick - tracer.epoch_tick();
   e.a = a;
   e.b = b;
-  e.color = static_cast<std::int32_t>(color);
+  e.request = current_request();
+  e.color = static_cast<std::int16_t>(color);
   e.kind = kind;
   e.detail = detail;
   tracer.cached_local().record(e);
@@ -229,18 +244,6 @@ void emit_at(std::uint64_t tick, EventKind kind, std::int64_t color, std::int64_
 void emit(EventKind kind, std::int64_t color, std::int64_t a, std::int64_t b,
           std::uint8_t detail) {
   emit_at(raw_tick(), kind, color, a, b, detail);
-}
-
-void emit_at_lazy(std::uint64_t tick, EventKind kind, std::int64_t color, std::int64_t a,
-                  std::int64_t b, std::uint8_t detail) {
-  if (tl_staged_n == kStagedCap) flush_staged();
-  TraceEvent& e = tl_staged[tl_staged_n++];
-  e.tick_ns = tick - Tracer::instance().epoch_tick();
-  e.a = a;
-  e.b = b;
-  e.color = static_cast<std::int32_t>(color);
-  e.kind = kind;
-  e.detail = detail;
 }
 #endif
 

@@ -1,17 +1,19 @@
-// Structured tracing for the partitioned runtime (the ROADMAP's
-// "observability" step).
+// Structured tracing for the partitioned runtime.
 //
-// The paper's evaluation attributes cost to enclave transitions, per-color
-// chunks, and queue crossings (§7, Figs. 8–10, Table 4); this module records
-// exactly those events so a run can *account* for every cross-domain
-// transition it induces. The design constraints, in order:
+// The paper attributes cost to enclave transitions, per-color chunks and
+// queue crossings (§7, Figs. 8–10, Table 4); this module records those
+// events so that one request can be followed across enclaves. Constraints,
+// in order:
 //
 //   1. ~0% overhead when tracing is off — every hook is one relaxed atomic
 //      load and a predictable branch (and compiles out entirely when the
 //      build sets PRIVAGIC_TRACE=0);
-//   2. low overhead when on — each event is one fixed-size 32-byte store
+//   2. whole requests or nothing — an event belongs to the request the
+//      recording thread is serving (its id is in every TraceEvent), and only
+//      sampled requests record (the rule is stated in hooks.hpp);
+//   3. low overhead when on — each event is one fixed-size 32-byte store
 //      into a per-thread lock-free ring (single writer, no CAS, no malloc);
-//   3. post-run drainability — buffers are registered with a process-global
+//   4. post-run drainability — buffers are registered with a process-global
 //      Tracer and drained after the workload quiesces into Chrome
 //      trace_event JSON (chrome://tracing / Perfetto loadable) by
 //      trace_writer.hpp.
@@ -40,7 +42,7 @@ namespace privagic::obs {
 enum class EventKind : std::uint8_t {
   kMsgSend,        // a=tag, b=chunk (spawns), color=target, detail=MsgKind
   kMsgRecv,        // a=tag, b=payload, color=receiver, detail=MsgKind
-  kCallEnter,      // a=function token, color=caller (verbose capture only)
+  kCallEnter,      // a=function token, color=caller
   kCallExit,       // a=dur_ns<<12|token (whole span), b=result, color=caller
   kChunkDispatch,  // a=chunk id, b=leader, color=executing enclave
   kWait,           // a=tag, b=blocked ns, color=waiter, detail=matched MsgKind+1 (0=timeout)
@@ -78,15 +80,16 @@ double ns_per_tick();
 /// One fixed-size binary trace record. Meaning of a/b/detail is per kind
 /// (see EventKind); `tick_ns` is nanoseconds since the tracer was enabled.
 /// (While an event sits in a live TraceBuffer the field holds raw ticks;
-/// Tracer::drain converts before anything downstream sees it.)
+/// Tracer::drain converts before anything downstream sees it.) `request` is
+/// the sampled request the recording thread was serving, 0 outside one.
 struct alignas(16) TraceEvent {
   std::uint64_t tick_ns = 0;
   std::int64_t a = 0;
   std::int64_t b = 0;
-  std::int32_t color = -1;
+  std::uint32_t request = 0;
+  std::int16_t color = -1;
   EventKind kind = EventKind::kMsgSend;
   std::uint8_t detail = 0;
-  std::uint16_t reserved = 0;
 };
 static_assert(sizeof(TraceEvent) == 32, "trace events are fixed 32-byte records");
 
@@ -134,8 +137,8 @@ class TraceBuffer {
 /// its TraceBuffer on first use, and drains every registered buffer post-run.
 class Tracer {
  public:
-  // 1024 events = 32 KiB/thread: a flight-recorder window of the newest few
-  // hundred requests. Sized so a saturated ring stays cache-resident: a write
+  // 1024 events = 32 KiB/thread: a flight-recorder window of the newest
+  // sampled requests. Sized so a saturated ring stays cache-resident: a write
   // into a much larger ring is always a cache miss (every slot has gone cold
   // by the time the writer wraps back to it) and evicts the traced workload's
   // own lines — measured as the single largest full-capture cost on the
@@ -144,7 +147,8 @@ class Tracer {
 
   static Tracer& instance();
 
-  /// Starts a capture: resets the epoch and flips the global enabled flag.
+  /// Starts a capture: resets the epoch, flips the global enabled flag and
+  /// restarts request sampling (see sample_request).
   /// Buffers created from now on hold @p per_thread_capacity events.
   void enable(std::size_t per_thread_capacity = kDefaultCapacity);
   void disable();
@@ -154,8 +158,9 @@ class Tracer {
   /// benchmarks that interleave traced and untraced reps).
   void resume() { enabled_.store(true, std::memory_order_release); }
 
-  /// Drops every registered buffer and invalidates the thread-local handles
-  /// of live threads (they re-register on their next event). Call between
+  /// Drops every registered buffer, invalidates the thread-local handles of
+  /// live threads (they re-register on their next event), zeroes the
+  /// sampled-request count and restarts request sampling. Call between
   /// independent captures.
   void clear();
 
@@ -167,8 +172,7 @@ class Tracer {
   /// could ever be dereferenced.
   TraceBuffer& cached_local();
 
-  /// Nanoseconds since enable() — the timestamp source for explicit duration
-  /// measurements (wait segments). Event records use raw_tick() instead.
+  /// steady_clock nanoseconds since enable() (drain's calibration pair).
   [[nodiscard]] std::uint64_t now_ns() const;
 
   /// raw_tick() at enable(); event timestamps are stored relative to this.
@@ -178,7 +182,10 @@ class Tracer {
 
   /// Snapshot of every thread's retained events (see TraceBuffer::drain),
   /// with raw ticks converted to nanoseconds-since-enable via the
-  /// (steady_clock, raw_tick) calibration pair taken here.
+  /// (steady_clock, raw_tick) calibration pair taken here. Also publishes
+  /// the loss accounting as registry counters: trace.events_recorded (every
+  /// event written since clear()), trace.events_dropped (overwritten by ring
+  /// wrap) and obs.requests_sampled.
   [[nodiscard]] std::vector<TraceBuffer::Drained> drain() const;
 
   /// Total events currently retained across all buffers.
@@ -208,30 +215,51 @@ inline bool tracing_enabled() {
 #endif
 }
 
+/// One request in kRequestSamplePeriod is sampled (the period of the
+/// perfbench span recorder, SpanLog::kSampleEvery).
+inline constexpr std::uint32_t kRequestSamplePeriod = 32;
+
+namespace detail {
+/// The request the calling thread is serving: -1 outside any request, 0 in
+/// an unsampled one, otherwise the sampled request's id.
+inline thread_local std::int64_t tl_request = -1;
+}  // namespace detail
+
+/// The calling thread's sampled request id, 0 when it serves none. Sends
+/// stamp it into Message::request.
+inline std::uint32_t current_request() {
 #if PRIVAGIC_TRACE
-/// Full-fidelity mode: the capture additionally records the producer-side
-/// edges — sender-side kMsgSend events, delivery kMsgRecv events, call-enter
-/// edges, and a kWait for EVERY delivery (fast-path and parked alike). The
-/// default capture leaves those out because they duplicate information the
-/// consumer-side records already carry: each crossing appears exactly once —
-/// a spawn as the kChunkDispatch on the target color, a cont/ack as the
-/// receiver's kWait, a whole interface call as its duration-carrying
-/// kCallExit — and on crossing-bound workloads the producer edges are half
-/// of all events. Default-capture kWait records are further sampled 1-in-8
-/// (parked segments only): the spans and dispatches that anchor the timeline
-/// stay exact, the blocked-time diagnostic keeps its shape at an eighth of
-/// the TSC reads. Tools that favour fidelity over overhead (privagicc
-/// --trace-out, the sequence tests) turn this on.
-void set_trace_verbose(bool on);
-[[nodiscard]] bool trace_verbose();
+  return detail::tl_request > 0 ? static_cast<std::uint32_t>(detail::tl_request) : 0;
 #else
-inline void set_trace_verbose(bool) {}
-[[nodiscard]] inline bool trace_verbose() { return false; }
+  return 0;
 #endif
+}
+
+inline bool in_sampled_request() { return current_request() != 0; }
+
+/// True inside a request that was not sampled: such a request records
+/// nothing, not even the events a thread records outside any request.
+inline bool in_unsampled_request() {
+#if PRIVAGIC_TRACE
+  return detail::tl_request == 0;
+#else
+  return false;
+#endif
+}
 
 #if PRIVAGIC_TRACE
-/// Records one event into the calling thread's buffer. Callers gate on
-/// tracing_enabled() first so the disabled path never reaches here.
+/// The sampling decision for a request the calling thread opens while
+/// observing: a fresh nonzero id for the first request after the latest
+/// Tracer::enable()/clear() or set_metrics_enabled(true) and for every
+/// kRequestSamplePeriod-th one after it, 0 for the rest. Per-thread and
+/// deterministic: a fixed call sequence samples the same calls every run.
+[[nodiscard]] std::uint32_t sample_request();
+
+/// Makes every thread's next sample_request() sample (see above).
+void restart_request_sampling();
+
+/// Records one event, stamped now, into the calling thread's buffer. Callers
+/// gate on tracing_enabled() first so the disabled path never reaches here.
 void emit(EventKind kind, std::int64_t color, std::int64_t a = 0, std::int64_t b = 0,
           std::uint8_t detail = 0);
 
@@ -240,28 +268,13 @@ void emit(EventKind kind, std::int64_t color, std::int64_t a = 0, std::int64_t b
 /// second TSC read.
 void emit_at(std::uint64_t tick, EventKind kind, std::int64_t color, std::int64_t a = 0,
              std::int64_t b = 0, std::uint8_t detail = 0);
-
-/// Stages one event in a small thread-local buffer (~a struct store) instead
-/// of recording it now — for call sites on the wake path, where even the ring
-/// write is latency the partner thread observes. Staged events reach the ring
-/// at the thread's next *idle* point: blocking-wait entry, worker exit, the
-/// post-run drain, or when the staging buffer fills. Eager emits do NOT flush
-/// the buffer, so a ring's slot order is not its time order — consumers sort
-/// by timestamp. Staged events a thread never follows with an idle point are
-/// dropped — acceptable for the flight-recorder use (see hooks.hpp).
-void emit_at_lazy(std::uint64_t tick, EventKind kind, std::int64_t color,
-                  std::int64_t a = 0, std::int64_t b = 0, std::uint8_t detail = 0);
-
-/// Drains the calling thread's staged events into its ring, if any.
-void flush_staged();
 #else
+[[nodiscard]] inline std::uint32_t sample_request() { return 0; }
+inline void restart_request_sampling() {}
 inline void emit(EventKind, std::int64_t, std::int64_t = 0, std::int64_t = 0,
                  std::uint8_t = 0) {}
 inline void emit_at(std::uint64_t, EventKind, std::int64_t, std::int64_t = 0,
                     std::int64_t = 0, std::uint8_t = 0) {}
-inline void emit_at_lazy(std::uint64_t, EventKind, std::int64_t, std::int64_t = 0,
-                         std::int64_t = 0, std::uint8_t = 0) {}
-inline void flush_staged() {}
 #endif
 
 }  // namespace privagic::obs

@@ -57,11 +57,13 @@ void append_kv_str(std::string& out, const char* key, const char* v, bool* first
   *first = false;
 }
 
-/// Kind-specific argument object ("args": {...}).
+/// Kind-specific argument object ("args": {...}), led by the event's color
+/// and request id (0 outside any sampled request).
 void append_args(std::string& out, const TraceEvent& e) {
   out += "\"args\":{";
   bool first = true;
   append_kv_i64(out, "color", e.color, &first);
+  append_kv_i64(out, "req", e.request, &first);
   switch (e.kind) {
     case EventKind::kMsgSend:
     case EventKind::kMsgRecv:
@@ -126,8 +128,8 @@ void append_event(std::string& out, const TraceEvent& e, std::uint32_t tid, bool
   if (e.kind == EventKind::kCallExit) {
     // The exit event packs the span duration (ns) above the function token;
     // render the whole interface call as one complete "X" slice ending at the
-    // event's timestamp. (A verbose capture's kCallEnter falls through to the
-    // instant branch below as a debug marker.)
+    // event's timestamp. (The call's kCallEnter falls through to the
+    // instant branch below as a marker.)
     const std::uint64_t dur_ns = static_cast<std::uint64_t>(e.a) >> 12;
     const std::uint64_t start = e.tick_ns > dur_ns ? e.tick_ns - dur_ns : 0;
     std::snprintf(head, sizeof head,
@@ -158,9 +160,9 @@ void append_event(std::string& out, const TraceEvent& e, std::uint32_t tid, bool
 }  // namespace
 
 std::string TraceWriter::to_chrome_json(const std::vector<TraceBuffer::Drained>& threads) {
-  // Order globally by timestamp before serializing: ring slot order is not
-  // time order (lazily-staged events land after younger eager ones), and
-  // trace viewers expect monotonically non-decreasing "ts" values.
+  // Order globally by timestamp before serializing: the rings are per
+  // thread, and trace viewers expect monotonically non-decreasing "ts"
+  // values.
   struct Rec {
     const TraceEvent* e;
     std::uint32_t tid;

@@ -6,13 +6,15 @@
 //   { "displayTimeUnit": "ns",
 //     "traceEvents": [
 //       {"name":"msg_send","cat":"runtime","ph":"i","s":"t",
-//        "ts":12.345,"pid":1,"tid":0,"args":{...}}, ... ] }
+//        "ts":12.345,"pid":1,"tid":0,"args":{"color":1,"req":7,...}}, ... ] }
 //
-// Mapping: Machine::call entry/exit become paired "B"/"E" duration events;
-// waits become "X" complete events spanning the blocked interval (their
-// duration is carried in the event payload); everything else is a
-// thread-scoped instant ("i"). Timestamps are microseconds (the format's
-// unit) derived from the events' nanosecond ticks.
+// Mapping: a Machine::call's exit event becomes one "X" complete event
+// spanning the call, and waits become "X" complete events spanning the
+// blocked interval (both durations are carried in the event payload);
+// everything else is a thread-scoped instant ("i"). Every event's args carry
+// "req", the sampled request it belongs to (0 outside any request).
+// Timestamps are microseconds (the format's unit) derived from the events'
+// nanosecond ticks.
 #pragma once
 
 #include <string>

@@ -121,7 +121,7 @@ class Mailbox {
         if (FaultInjector* injector = injector_.load(std::memory_order_acquire)) {
           delivered_.clear();
           injector->flush(channel_, delivered_);
-          for (const Message& h : delivered_) enqueue(h);
+          for (const Message& h : delivered_) enqueue(h, /*measure=*/false);
         }
         stopped_.store(true, std::memory_order_release);
       }
@@ -150,41 +150,23 @@ class Mailbox {
   /// is available; removes and returns it. Control messages (spawn, poison)
   /// win over a match that arrived later, preserving arrival order; a sticky
   /// stop is reported only once no queued message qualifies.
-  ///
-  /// @p on_block (when given) is invoked exactly once, just before the caller
-  /// first parks — a delivery caught before that never invokes it. The
-  /// instrumentation in workers.hpp hangs its wait timing off this, so the
-  /// fast path pays zero clock reads.
   Message next(MsgKind kind, std::int64_t tag) {
-    return next(kind, tag, [] {});
-  }
-
-  template <typename OnBlock>
-  Message next(MsgKind kind, std::int64_t tag, OnBlock&& on_block) {
-    return *take(kind, tag, /*control_only=*/false, std::nullopt,
-                 std::forward<OnBlock>(on_block));
+    return *take(kind, tag, /*control_only=*/false, std::nullopt);
   }
 
   /// Timed variant of next(): returns std::nullopt when @p timeout elapses
   /// with no qualifying message. The building block of the recovery loop.
   std::optional<Message> next_for(MsgKind kind, std::int64_t tag, Clock::duration timeout) {
-    return next_for(kind, tag, timeout, [] {});
-  }
-
-  template <typename OnBlock>
-  std::optional<Message> next_for(MsgKind kind, std::int64_t tag, Clock::duration timeout,
-                                  OnBlock&& on_block) {
-    return take(kind, tag, /*control_only=*/false, Clock::now() + timeout,
-                std::forward<OnBlock>(on_block));
+    return take(kind, tag, /*control_only=*/false, Clock::now() + timeout);
   }
 
   /// Blocks for the next control message (the worker idle loop).
   Message next_control() {
-    return *take(MsgKind::kStop, 0, /*control_only=*/true, std::nullopt, [] {});
+    return *take(MsgKind::kStop, 0, /*control_only=*/true, std::nullopt);
   }
 
   std::optional<Message> next_control_for(Clock::duration timeout) {
-    return take(MsgKind::kStop, 0, /*control_only=*/true, Clock::now() + timeout, [] {});
+    return take(MsgKind::kStop, 0, /*control_only=*/true, Clock::now() + timeout);
   }
 
   /// Size snapshot: pending, ring and overflow (tests only).
@@ -194,6 +176,9 @@ class Mailbox {
     return pending_.size() + overflow_.size() +
            (tail_.load(std::memory_order_acquire) - head_.load(std::memory_order_relaxed));
   }
+
+  /// Waiters registered as parked (tests only).
+  [[nodiscard]] std::uint32_t parked() const { return sleepers_.load(std::memory_order_relaxed); }
 
   /// Messages on the overflow list (tests only).
   [[nodiscard]] std::size_t overflowed() const {
@@ -225,28 +210,31 @@ class Mailbox {
   static_assert(sizeof(Slot) * kRingSlots <= 32 * 1024);
 
   /// Enqueues @p n messages — through @p injector, when given, with filter
-  /// and enqueue under one lock — and wakes a parked waiter.
+  /// and enqueue under one lock — and wakes a parked waiter. The occupancy
+  /// after the last push is measured when the batch's last message belongs
+  /// to a sampled request.
   void deliver(const Message* msgs, std::size_t n, FaultInjector* injector) {
+    const bool measure = n != 0 && obs::measuring_request(msgs[n - 1].request);
     std::size_t depth = 0;
     if (injector == nullptr) {
-      for (std::size_t i = 0; i < n; ++i) depth = enqueue(msgs[i]);
+      for (std::size_t i = 0; i < n; ++i) depth = enqueue(msgs[i], measure);
     } else {
       const std::lock_guard<std::mutex> lock(inject_mu_);
       for (std::size_t i = 0; i < n; ++i) {
         delivered_.clear();
         injector->filter(channel_, msgs[i], delivered_);
-        for (const Message& d : delivered_) depth = enqueue(d);
+        for (const Message& d : delivered_) depth = enqueue(d, measure);
       }
     }
     if (depth == 0) return;  // nothing to deliver, or all dropped in transit
-    obs::on_mailbox_depth(depth);
+    obs::on_mailbox_depth(depth, msgs[n - 1].request);
     wake();
   }
 
   /// Appends @p m to the ring, or to the overflow list when the ring is full
   /// or the list is already in use. Returns the resulting occupancy (never 0;
-  /// 1 for a ring push while metrics are off).
-  std::size_t enqueue(const Message& m) {
+  /// 1 for a ring push made without @p measure).
+  std::size_t enqueue(const Message& m, bool measure) {
     if (!overflow_active_.load(std::memory_order_acquire)) {
       // head_seen_ is read before tail_, so head <= pos. The acquire pairs
       // with the drainer's release of head_ (directly, or through the
@@ -261,11 +249,11 @@ class Mailbox {
           if (pos - head >= kRingSlots) break;  // full: the drainer is a lap behind
         }
         if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-          // Occupancy is read only when metrics will record it: head_ sits
-          // on the drainer's hot cache line. Read before publishing, since
-          // the drainer cannot pass an unpublished slot, so head <= pos.
+          // Occupancy is read only when it will be recorded: head_ sits on
+          // the drainer's hot cache line. Read before publishing, since the
+          // drainer cannot pass an unpublished slot, so head <= pos.
           const std::uint64_t drained =
-              obs::metrics_enabled() ? head_.load(std::memory_order_relaxed) : pos;
+              measure ? head_.load(std::memory_order_relaxed) : pos;
           Slot& s = ring_[pos % kRingSlots];
           s.msg = m;
           s.seq.store(pos + 1, std::memory_order_release);
@@ -368,15 +356,11 @@ class Mailbox {
   }
 
   /// The one wait path: poll, then pause-spin, yield and park until ready().
-  /// Blocks until @p deadline (forever when nullopt). @p on_block fires once,
-  /// before the first park.
-  template <typename OnBlock>
+  /// Blocks until @p deadline (forever when nullopt).
   std::optional<Message> take(MsgKind kind, std::int64_t tag, bool control_only,
-                              std::optional<Clock::time_point> deadline,
-                              OnBlock&& on_block) {
+                              std::optional<Clock::time_point> deadline) {
     std::uint32_t spins = 0;
     Clock::time_point yield_until{};  // set when the yield tier starts
-    bool blocked = false;
     while (true) {
       std::uint64_t seen = 0;
       if (auto m = poll(kind, tag, control_only, seen)) return m;
@@ -400,10 +384,6 @@ class Mailbox {
         if (now < yield_until) {
           std::this_thread::yield();
           continue;
-        }
-        if (!blocked) {
-          blocked = true;
-          on_block();
         }
         park(seen, deadline);
       }

@@ -539,6 +539,7 @@ class ThreadRuntime {
   /// Runs one chunk bracketed by kChunkStart/kChunkDone journal entries, and
   /// compacts the journal at quiescent (depth-0) completions.
   void run_chunk_journaled(std::size_t me, const Message& m) {
+    const obs::RequestScope request(m.request);  // the chunk serves the spawn's request
     if (!journaled(me)) {
       runner_(me, m.chunk, m.tags, m.leader, m.flags);
       return;
@@ -558,7 +559,8 @@ class ThreadRuntime {
   }
 
   /// Semantic-field equality — the replay matcher. seq/auth excluded: a
-  /// replayed send reuses the LOGGED seq, never a fresh one.
+  /// replayed send reuses the LOGGED seq, never a fresh one. The request id
+  /// is excluded too: a replay need not run under the crashed run's request.
   static bool same_semantics(const Message& a, const Message& b) {
     return a.kind == b.kind && a.tag == b.tag && a.payload == b.payload &&
            a.chunk == b.chunk && a.tags == b.tags && a.leader == b.leader &&
@@ -995,6 +997,7 @@ class ThreadRuntime {
   /// calls_elided instead, keeping the observability totals reconcilable).
   void send(std::int64_t target_color, Message m) {
     const std::size_t target = index(target_color);
+    m.request = obs::current_request();
     OutboxSet& ob = thread_outbox(0);
     maybe_crash_at(ob.sender, CrashPoint::kPreSend);
     const bool jrn = journaled(ob.sender);
@@ -1024,11 +1027,9 @@ class ThreadRuntime {
     // mailbox crossing is deferred. The send event/counter fires here too:
     // "sent" means "handed to the runtime", which keeps the trace chain (send
     // before its chunk dispatch) and the per-color counters deterministic.
-    const std::uint64_t send_tick =
-        obs::msg_send_tick(static_cast<std::uint8_t>(m.kind));
-    b.push(m);
-    obs::on_msg_send(send_tick, target_color, static_cast<std::uint8_t>(m.kind), m.tag,
+    obs::on_msg_send(target_color, static_cast<std::uint8_t>(m.kind), m.tag,
                      static_cast<std::int64_t>(m.chunk));
+    b.push(m);
   }
 
   /// Re-pushes the most recent logged message matching (kind, tag) destined
@@ -1098,6 +1099,7 @@ class ThreadRuntime {
   /// Validates and dispatches a popped spawn message.
   void serve_spawn(std::size_t me, const Message& m) {
     if (!validate(me, m)) return;
+    const obs::RequestScope request(m.request);
     obs::on_msg_recv(static_cast<std::int64_t>(me), static_cast<std::uint8_t>(m.kind),
                      m.tag, static_cast<std::int64_t>(m.chunk));
     run_chunk_journaled(me, m);
@@ -1195,25 +1197,16 @@ class ThreadRuntime {
       }
       std::optional<Message> m;
       mark_blocked(me, true);
-      obs::on_wait_entry();  // idle moment: drain staged wake-path events
-      // Timing starts only if the mailbox actually parks us (fast-path
-      // deliveries cost zero clock reads); verbose capture pre-times every
-      // segment so each one leaves a kWait event.
-      std::uint64_t wait_begin = obs::verbose_wait_begin();
-      const auto on_block = [&wait_begin] {
-        if (wait_begin == 0) wait_begin = obs::wait_interval_begin();
-      };
+      const std::uint64_t wait_begin = obs::wait_begin_tick();
       if (timed) {
-        m = mailboxes_[me]->next_for(kind, tag, attempt_deadline, on_block);
+        m = mailboxes_[me]->next_for(kind, tag, attempt_deadline);
       } else {
-        m = mailboxes_[me]->next(kind, tag, on_block);
+        m = mailboxes_[me]->next(kind, tag);
       }
-      const std::uint64_t wait_end = wait_begin != 0 ? obs::interval_end() : 0;
-      const std::uint64_t blocked_ns = obs::interval_ns(wait_begin, wait_end);
+      obs::on_wait_segment(static_cast<std::int64_t>(me), tag,
+                           m.has_value() ? static_cast<std::uint8_t>(m->kind) + 1 : 0,
+                           wait_begin);
       mark_blocked(me, false);
-      obs::on_wait_segment(
-          static_cast<std::int64_t>(me), tag, blocked_ns,
-          m.has_value() ? static_cast<std::uint8_t>(m->kind) + 1 : 0, wait_end);
       if (!m.has_value()) {  // timed out
         stats_.wait_timeouts.fetch_add(1, std::memory_order_relaxed);
         if (attempt >= options_.max_retries) give_up(me, kind, tag, resent);
@@ -1248,11 +1241,6 @@ class ThreadRuntime {
   }
 
   void worker_loop(std::size_t me) {
-    // Flush this thread's staged trace event on every exit path, so the last
-    // wait segment before shutdown survives into the post-run drain.
-    struct StagedFlush {
-      ~StagedFlush() { obs::on_worker_exit(); }
-    } flush_on_exit;
     // Register this thread's color identity before any traffic: sends from
     // chunks running here are stamped as color `me`, which is what makes the
     // same-color shortcut in send() safe to take.
@@ -1273,7 +1261,6 @@ class ThreadRuntime {
         }
         continue;
       }
-      obs::on_wait_entry();
       maybe_crash_at(me, CrashPoint::kWaitEntry);
       Message m = mailboxes_[me]->next_control();
       if (m.kind == MsgKind::kStop) return;

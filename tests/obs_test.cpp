@@ -148,14 +148,59 @@ TEST_F(ObsTest, EmbedMetricsWritesMetricsObjectIntoBenchJson) {
 }
 
 TEST_F(ObsTest, MetricsHooksAreGatedByTheRuntimeSwitch) {
-  // The depth hook samples 1-in-8 (and only advances its sampling counter
-  // while the switch is on), so 8 calls land exactly one record.
+  // The depth histogram records pushes of sampled requests only (a nonzero
+  // request id), and only while the switch is on.
   auto& h = MetricsRegistry::global().histogram("mailbox.depth_at_push");
-  for (int i = 0; i < 8; ++i) obs::on_mailbox_depth(5);  // switch off: nothing
+  for (int i = 0; i < 8; ++i) obs::on_mailbox_depth(5, /*request=*/7);  // switch off
   EXPECT_EQ(h.snapshot().count, 0u);
   set_metrics_enabled(true);
-  for (int i = 0; i < 8; ++i) obs::on_mailbox_depth(5);
+  for (int i = 0; i < 8; ++i) obs::on_mailbox_depth(5, /*request=*/0);  // unsampled
+  obs::on_mailbox_depth(5, /*request=*/7);
   EXPECT_EQ(h.snapshot().count, 1u);
+}
+
+TEST_F(ObsTest, RequestScopeSamplesTheFirstRequestAndEveryPeriodAfter) {
+  set_metrics_enabled(true);  // restarts sampling: the next request is sampled
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t n = 0; n < 2 * kRequestSamplePeriod + 1; ++n) {
+    const RequestScope request;
+    ids.push_back(current_request());
+    {
+      const RequestScope served(99);  // a worker serving another request's spawn
+      EXPECT_EQ(current_request(), 99u);
+    }
+    EXPECT_EQ(current_request(), ids.back());  // restored on scope exit
+  }
+  EXPECT_EQ(current_request(), 0u);
+  for (std::size_t n = 0; n < ids.size(); ++n) {
+    EXPECT_EQ(ids[n] != 0, n % kRequestSamplePeriod == 0) << "request " << n;
+  }
+  EXPECT_NE(ids[0], ids[kRequestSamplePeriod]);
+
+  set_metrics_enabled(false);  // not observing: nothing is sampled
+  const RequestScope request;
+  EXPECT_EQ(current_request(), 0u);
+}
+
+TEST_F(ObsTest, DrainPublishesRecordedDroppedAndSampledCounts) {
+  Tracer& tracer = Tracer::instance();
+  tracer.enable(/*per_thread_capacity=*/4);
+  {
+    const RequestScope request;  // sampled: first after enable()
+    for (int i = 0; i < 6; ++i) obs::on_chunk_dispatch(1, i, 0);
+  }
+  {
+    const RequestScope request;  // unsampled: records nothing
+    obs::on_chunk_dispatch(1, 9, 0);
+  }
+  tracer.disable();
+  const auto drained = tracer.drain();
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0].events.size(), 4u);
+  auto& reg = MetricsRegistry::global();
+  EXPECT_EQ(reg.counter("trace.events_recorded").value(), 6u);
+  EXPECT_EQ(reg.counter("trace.events_dropped").value(), 2u);
+  EXPECT_EQ(reg.counter("obs.requests_sampled").value(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -173,6 +218,7 @@ TEST_F(ObsTest, TraceWriterEmitsLoadableChromeJson) {
     e.color = color;
     e.kind = kind;
     e.detail = detail;
+    e.request = 5;
     buf.record(e);
   };
   put(EventKind::kCallEnter, 1000, /*token=*/3, 0, 0, 0);
@@ -190,8 +236,10 @@ TEST_F(ObsTest, TraceWriterEmitsLoadableChromeJson) {
   EXPECT_NE(doc.find("\"Machine::call\""), std::string::npos);
   EXPECT_NE(doc.find("\"ts\":1.000,\"dur\":9.000"), std::string::npos);
   EXPECT_NE(doc.find("\"fn_token\":3"), std::string::npos);
-  // ...the (verbose-only) enter edge as an instant marker...
+  // ...the enter edge as an instant marker...
   EXPECT_NE(doc.find("\"call_enter\""), std::string::npos);
+  // ...every event names its request...
+  EXPECT_NE(doc.find("\"req\":5"), std::string::npos);
   // ...and the wait as a complete slice starting blocked_ns earlier.
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(doc.find("\"ts\":5.000,\"dur\":4.000"), std::string::npos);

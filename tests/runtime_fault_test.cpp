@@ -422,6 +422,19 @@ TEST(SpawnAuthFaultTest, ForgedAndBitFlippedSpawnsAreDroppedAndCountedUnderGuard
   EXPECT_EQ(runs.load(), 1);
   EXPECT_EQ(rt.rejected_spawns(), 3u);
   EXPECT_EQ(rt.stats().forged_spawn_rejects.load(), 3u);
+
+  // The MAC covers the request id too: a captured cont whose id is flipped
+  // in the queue is dropped as corrupt, and the genuine copy behind it is
+  // the one delivered.
+  Message genuine = Message::cont(1300, 77);
+  genuine.request = 5;
+  genuine.auth = message_mac(genuine, kSecret);
+  Message request_flipped = genuine;
+  request_flipped.request ^= 1;
+  rt.inject_raw(0, request_flipped);
+  rt.inject_raw(0, genuine);
+  EXPECT_EQ(rt.wait(0, 1300), 77);
+  EXPECT_EQ(rt.stats().corrupt_dropped.load(), 1u);
 }
 
 TEST(SpawnAuthFaultTest, RelaxedModeWithoutSecretAcceptsAndCountsNothing) {

@@ -219,30 +219,31 @@ TEST(MailboxTransportTest, ParkedWaiterIgnoresThePreviousLapsPublishWord) {
   }
   ASSERT_EQ(box.size(), 0u);
 
-  std::atomic<int> parks{0};
   std::atomic<bool> returned{false};
   std::optional<Message> got;
   std::thread timed([&] {
-    got = box.next_for(MsgKind::kCont, 0, std::chrono::milliseconds(50), [&parks] { ++parks; });
+    got = box.next_for(MsgKind::kCont, 0, std::chrono::milliseconds(50));
     returned = true;
   });
-  // A waiter that takes the stale word for a message polls forever and never
-  // checks its deadline; a push after 2 s ends that loop so the test fails
-  // instead of hanging.
-  for (int i = 0; i < 200 && !returned.load(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // A waiter that takes the stale word for a message polls forever, never
+  // parks and never checks its deadline; a push after 2 s ends that loop so
+  // the test fails instead of hanging.
+  bool saw_parked = false;
+  const auto rescue_at = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!returned.load() && std::chrono::steady_clock::now() < rescue_at) {
+    saw_parked = saw_parked || box.parked() != 0;
+    std::this_thread::yield();
   }
   if (!returned.load()) box.push(Message::cont(0, 1));
   timed.join();
   EXPECT_FALSE(got.has_value());
-  ASSERT_EQ(parks.load(), 1) << "the waiter spun on a stale publish word instead of parking";
+  ASSERT_TRUE(saw_parked) << "the waiter spun on a stale publish word instead of parking";
 
-  std::atomic<bool> parked{false};
   std::thread waiter([&] {
-    const Message m = box.next(MsgKind::kCont, 0, [&parked] { parked = true; });
+    const Message m = box.next(MsgKind::kCont, 0);
     EXPECT_EQ(m.payload, 77);
   });
-  while (!parked.load()) std::this_thread::yield();
+  while (box.parked() == 0) std::this_thread::yield();
   box.push(Message::cont(0, 77));
   waiter.join();
   EXPECT_EQ(box.size(), 0u);

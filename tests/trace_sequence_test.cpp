@@ -1,17 +1,20 @@
-// Deterministic trace-sequence fixture (ISSUE acceptance): a two-color
-// program must leave the canonical cross-enclave event chain in the drained
-// trace — spawn send → chunk dispatch on the enclave → result cont send →
-// the leader's wait completing with that cont — in non-decreasing timestamp
-// order, under BOTH execution engines. This pins the hook placement: if an
-// instrumentation point moves to the wrong side of its protocol step, the
-// chain breaks even though the program still computes 42.
+// Deterministic trace-sequence fixture: a two-color program must leave the
+// canonical cross-enclave event chain in the drained trace — spawn send →
+// chunk dispatch on the enclave → result cont send → the leader's wait
+// completing with that cont — in non-decreasing timestamp order, under BOTH
+// execution engines. This pins the hook placement: if an instrumentation
+// point moves to the wrong side of its protocol step, the chain breaks even
+// though the program still computes 42. The request rule is pinned too: a
+// call is traced whole (U and enclave events under one id) or not at all.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "interp/machine.hpp"
 #include "ir/parser.hpp"
+#include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "partition/partitioner.hpp"
@@ -70,8 +73,7 @@ std::vector<TraceEvent> capture_run(ExecMode mode) {
   tracer.clear();
   obs::MetricsRegistry::global().reset_all();
   obs::set_metrics_enabled(true);
-  obs::set_trace_verbose(true);  // the chain includes sender-side cont events
-  tracer.enable();
+  tracer.enable();  // the one call below is the first request: sampled
 
   Compiled c = compile(kTwoColor, Mode::kRelaxed);
   {
@@ -82,7 +84,6 @@ std::vector<TraceEvent> capture_run(ExecMode mode) {
   }  // ~Machine joins every worker: all trace writers are quiescent
 
   tracer.disable();
-  obs::set_trace_verbose(false);
   obs::set_metrics_enabled(false);
   std::vector<TraceEvent> events;
   for (const auto& d : tracer.drain()) {
@@ -184,6 +185,9 @@ TEST(TraceSequenceTest, ElidedSameColorCallLeavesNoMessageEventsButReconciles) {
 
   runtime::ThreadRuntime* rtp = nullptr;
   {
+    // A raw runtime user opens its request like Machine::call does; as the
+    // first request after enable() it is sampled.
+    const obs::RequestScope request;
     runtime::ThreadRuntime rt(
         2,
         [&rtp](std::size_t me, std::uint64_t chunk, std::int64_t tags,
@@ -227,14 +231,96 @@ TEST(TraceSequenceTest, ElidedSameColorCallLeavesNoMessageEventsButReconciles) {
   obs::MetricsRegistry::global().reset_all();
 }
 
+// main(n) calls the blue @f(n), which returns n + 1 through a result cont,
+// so each call's span carries a result that names the call.
+const char* kNumbered = R"(
+module "numbered"
+global i32 @blue = 10 color(blue)
+define i32 @main(i32 %n) entry {
+entry:
+  %x = call i32 @f(i32 %n)
+  ret i32 %x
+}
+define i32 @f(i32 %y) {
+entry:
+  store i32 7, ptr<i32 color(blue)> @blue
+  %r = add i32 %y, i32 1
+  ret i32 %r
+}
+)";
+
+void check_whole_request_sampling(ExecMode mode) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.clear();
+  Compiled c = compile(kNumbered, Mode::kRelaxed);
+  {
+    Machine m(*c.program, /*epc_limit_bytes=*/0, mode);
+    // Only the calls are captured: region events of construction and
+    // teardown belong to no request.
+    tracer.enable();
+    for (int n = 1; n <= 33; ++n) {
+      auto r = m.call("main", {n});
+      ASSERT_TRUE(r.ok()) << r.message();
+      ASSERT_EQ(r.value(), n + 1);
+    }
+    tracer.disable();
+  }  // ~Machine joins every worker: all trace writers are quiescent
+  const std::vector<obs::TraceBuffer::Drained> drained = tracer.drain();
+  tracer.clear();
+
+  // The U thread is the one that recorded the call spans.
+  std::uint32_t u_tid = 0;
+  for (const auto& d : drained) {
+    for (const TraceEvent& e : d.events) {
+      if (e.kind == EventKind::kCallExit) u_tid = d.tid;
+    }
+  }
+  // Per request id: the calls its spans name, and which threads recorded it.
+  struct Seen {
+    std::vector<std::int64_t> calls;
+    bool on_u = false;
+    bool on_enclave = false;
+  };
+  std::map<std::uint32_t, Seen> by_request;
+  for (const auto& d : drained) {
+    for (const TraceEvent& e : d.events) {
+      ASSERT_NE(e.request, 0u) << "event outside a sampled request: "
+                               << obs::event_kind_name(e.kind);
+      Seen& s = by_request[e.request];
+      if (e.kind == EventKind::kCallExit) s.calls.push_back(e.b - 1);
+      (d.tid == u_tid ? s.on_u : s.on_enclave) = true;
+    }
+  }
+  // Only calls 1 and 33 left events, each under its own id, and each id
+  // covers both the U side and the enclave side of its call.
+  ASSERT_EQ(by_request.size(), 2u);
+  std::vector<std::int64_t> calls;
+  for (const auto& [id, s] : by_request) {
+    ASSERT_EQ(s.calls.size(), 1u) << "request " << id;
+    calls.push_back(s.calls[0]);
+    EXPECT_TRUE(s.on_u) << "request " << id;
+    EXPECT_TRUE(s.on_enclave) << "request " << id;
+  }
+  std::sort(calls.begin(), calls.end());
+  EXPECT_EQ(calls, (std::vector<std::int64_t>{1, 33}));
+}
+
+TEST(TraceSequenceTest, TreeWalkerTracesWholeSampledRequests) {
+  check_whole_request_sampling(ExecMode::kTreeWalk);
+}
+
+TEST(TraceSequenceTest, FusedEngineTracesWholeSampledRequests) {
+  check_whole_request_sampling(ExecMode::kFused);
+}
+
 TEST(TraceSequenceTest, FusedEngineRecordsBudgetFlushes) {
   obs::MetricsRegistry::global().reset_all();
   obs::set_metrics_enabled(true);
   {
     Compiled c = compile(kTwoColor, Mode::kRelaxed);
     Machine m(*c.program, 0, ExecMode::kFused);
-    // Enough round trips that the 1-in-8 flush sampling is certain to fire
-    // (each call flushes several times; 64 calls ≫ one sampling period).
+    // 64 calls span two sampling periods: calls 1 and 33 are sampled, and a
+    // sampled call records every one of its flushes.
     for (int i = 0; i < 64; ++i) ASSERT_TRUE(m.call("main", {}).ok());
   }
   obs::set_metrics_enabled(false);

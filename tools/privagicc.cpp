@@ -324,13 +324,11 @@ int main(int argc, char** argv) {
   }
 
   if (!run_entry.empty() && !trace_out.empty()) {
-    // Arm capture before the Machine spawns its workers so the spawn
-    // handshake and region allocations land in the trace. An offline capture
-    // favours fidelity over overhead, so verbose mode (sender-side cont/ack
-    // events, spawn deliveries) is on.
+    // Arm capture before the Machine spawns its workers so the region
+    // allocations land in the trace. The run is one call, the first request
+    // after enable(), so it is sampled and traced whole.
     obs::MetricsRegistry::global().reset_all();
     obs::set_metrics_enabled(true);
-    obs::set_trace_verbose(true);
     obs::Tracer::instance().clear();
     obs::Tracer::instance().enable();
   }
