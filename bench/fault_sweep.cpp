@@ -133,7 +133,6 @@ void add_row(privagic::support::BenchJsonWriter& json, const char* phase,
       .set("wait_timeouts", r.stats.wait_timeouts)
       .set("retries", r.stats.retries)
       .set("retransmits", r.stats.retransmits)
-      .set("watchdog_fires", r.stats.watchdog_fires)
       .set("poisoned_workers", r.stats.poisoned_workers)
       .set("batched_messages", r.stats.batched_messages)
       .set("batch_flushes", r.stats.batch_flushes)

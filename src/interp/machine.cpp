@@ -469,40 +469,27 @@ Machine::Machine(const partition::PartitionResult& program, std::uint64_t epc_li
   }
 }
 
-runtime::ThreadRuntime& Machine::runtime_for_current_thread() {
+Machine::WorkerGroup& Machine::current_group() {
   // Every interface call lands here; the mutex + map lookup below is per-call
   // overhead on the hot path. A thread_local memo of the last (machine,
-  // runtime) pair this thread resolved short-circuits it: the generation
-  // check keeps a recycled Machine address from hitting a stale entry, and
-  // the runtime pointer stays valid for the machine's whole lifetime
-  // (runtimes_ never erases).
-  struct CachedRuntime {
+  // group) pair this thread resolved short-circuits it: the generation check
+  // keeps a recycled Machine address from hitting a stale entry, and the
+  // group stays valid for the machine's whole lifetime (groups_ never
+  // erases).
+  struct CachedGroup {
     const Machine* machine = nullptr;
     std::uint64_t generation = 0;
-    runtime::ThreadRuntime* runtime = nullptr;
+    WorkerGroup* group = nullptr;
   };
-  thread_local CachedRuntime cached;
+  thread_local CachedGroup cached;
   if (cached.machine == this && cached.generation == generation_) {
-    return *cached.runtime;
+    return *cached.group;
   }
-  const std::lock_guard<std::mutex> lock(runtimes_mu_);
-  auto& slot = runtimes_[std::this_thread::get_id()];
+  const std::lock_guard<std::mutex> lock(groups_mu_);
+  auto& slot = groups_[std::this_thread::get_id()];
   if (slot == nullptr) {
-    // The chunk runner needs the runtime it belongs to (nested waits pull
-    // from its mailboxes); a shared cell breaks the construction cycle — it
-    // is filled before any spawn can reach the new workers.
-    auto cell = std::make_shared<runtime::ThreadRuntime*>(nullptr);
-    // The message guard (§8 extension) is always on: legitimate messages are
-    // MAC'd under an enclave-held secret; injected ones are dropped. The
-    // recovery knobs are the embedder's (see enable_fault_recovery).
-    runtime::RecoveryOptions options;
-    options.spawn_secret = 0x9E3779B97F4A7C15ull;
-    options.wait_deadline = recovery_deadline_;
-    options.max_retries = recovery_max_retries_;
-    options.watchdog_deadline = watchdog_deadline_;
-    options.injector = injector_;
-    options.checkpoint = crash_recovery_;
-    options.color_slot = placement_;
+    auto group = std::make_unique<WorkerGroup>();
+    runtime::RecoveryOptions options = group_options_;
     if (options.checkpoint.enabled) {
       // Per-enclave checkpoints carry the enclave's SimMemory image, so a
       // restarted enclave resumes with the globals/heap it crashed with.
@@ -522,24 +509,27 @@ runtime::ThreadRuntime& Machine::runtime_for_current_thread() {
         };
       }
     }
-    slot = std::make_unique<runtime::ThreadRuntime>(
+    // The chunk runner needs the group it belongs to (nested waits pull from
+    // its mailboxes). group->runtime is set before any spawn can reach the
+    // new workers: a spawn's mailbox crossing orders it.
+    group->runtime = std::make_unique<runtime::ThreadRuntime>(
         program_.color_table.size(),
-        [this, cell](std::size_t, std::uint64_t chunk, std::int64_t tags,
-                     std::int64_t leader, std::int64_t flags) {
-          run_chunk(**cell, chunk, tags, leader, flags);
+        [this, g = group.get()](std::size_t, std::uint64_t chunk, std::int64_t tags,
+                                std::int64_t leader, std::int64_t flags) {
+          run_chunk(*g, chunk, tags, leader, flags);
         },
-        options);
-    *cell = slot.get();
+        std::move(options));
+    slot = std::move(group);
   }
-  cached = CachedRuntime{this, generation_, slot.get()};
+  cached = CachedGroup{this, generation_, slot.get()};
   return *slot;
 }
 
 Machine::~Machine() {
-  const std::lock_guard<std::mutex> lock(runtimes_mu_);
-  for (auto& [tid, rt] : runtimes_) {
+  const std::lock_guard<std::mutex> lock(groups_mu_);
+  for (auto& [tid, group] : groups_) {
     (void)tid;
-    rt->shutdown();
+    group->runtime->shutdown();
   }
 }
 
@@ -570,8 +560,9 @@ void Machine::bind_external(std::string name, ExternalFn fn) {
   externals_[std::move(name)] = std::move(fn);
 }
 
-void Machine::run_chunk(runtime::ThreadRuntime& rt, std::uint64_t chunk_id, std::int64_t tags,
+void Machine::run_chunk(WorkerGroup& group, std::uint64_t chunk_id, std::int64_t tags,
                         std::int64_t leader, std::int64_t flags) {
+  runtime::ThreadRuntime& rt = *group.runtime;
   const partition::ChunkInfo& info = program_.chunks.at(chunk_id);
   try {
     if (info.trampoline == nullptr) {
@@ -584,18 +575,21 @@ void Machine::run_chunk(runtime::ThreadRuntime& rt, std::uint64_t chunk_id, std:
   } catch (const std::exception& e) {
     // Record the failure (keeping the runtime's failure kind when the
     // recovery protocol produced it) and still complete the message protocol
-    // so the leader does not deadlock; call() surfaces the error afterwards.
+    // so the leader does not deadlock; the group's call() surfaces the error
+    // afterwards. The record is written before the messages below, whose
+    // crossing orders it before the leader's return.
     {
-      const std::lock_guard<std::mutex> lock(log_mu_);
-      if (first_error_.empty()) {
-        first_error_ = e.what();
+      const std::lock_guard<std::mutex> lock(group.mu);
+      if (!group.failed.load(std::memory_order_relaxed)) {
+        group.error = e.what();
         if (const auto* fault = dynamic_cast<const runtime::RuntimeFault*>(&e)) {
-          first_error_code_ = fault->code();
+          group.code = fault->code();
         } else if (dynamic_cast<const sgx::EpcExhausted*>(&e) != nullptr) {
-          first_error_code_ = sgx::EpcExhausted::code();
+          group.code = sgx::EpcExhausted::code();
         } else {
-          first_error_code_ = StatusCode::kGeneric;
+          group.code = StatusCode::kGeneric;
         }
+        group.failed.store(true, std::memory_order_release);
       }
     }
     if ((flags & partition::kFlagSendResult) != 0) {
@@ -621,13 +615,13 @@ void Machine::set_placement(std::vector<std::size_t> slot_table) {
       }
     }
   }
-  placement_ = std::move(slot_table);
   // Re-key the EPC budgets immediately: the globals were allocated in the
   // constructor, so the group budgets must absorb their existing usage.
-  std::vector<sgx::ColorId> leaders(placement_.size());
-  for (std::size_t c = 0; c < placement_.size(); ++c) {
-    leaders[c] = static_cast<sgx::ColorId>(placement_[c]);
+  std::vector<sgx::ColorId> leaders(slot_table.size());
+  for (std::size_t c = 0; c < slot_table.size(); ++c) {
+    leaders[c] = static_cast<sgx::ColorId>(slot_table[c]);
   }
+  group_options_.color_slot = std::move(slot_table);
   memory_->set_color_groups(std::move(leaders));
 }
 
@@ -635,7 +629,7 @@ std::vector<std::byte> Machine::snapshot_group_state(std::size_t leader) const {
   std::vector<std::byte> out(sizeof(std::uint64_t));
   std::uint64_t total = 0;
   for (std::size_t c = 0; c < program_.color_table.size(); ++c) {
-    const std::size_t slot = placement_.empty() ? c : placement_[c];
+    const std::size_t slot = placement().empty() ? c : placement()[c];
     if (slot != leader) continue;
     const std::vector<std::byte> img =
         memory_->serialize_color(static_cast<sgx::ColorId>(c));
@@ -653,29 +647,19 @@ void Machine::restore_group_state(std::size_t leader, std::span<const std::byte>
   // restore_color only rewrites regions whose recorded color matches, so
   // feeding the merged image to each member restores exactly its slice.
   for (std::size_t c = 0; c < program_.color_table.size(); ++c) {
-    const std::size_t slot = placement_.empty() ? c : placement_[c];
+    const std::size_t slot = placement().empty() ? c : placement()[c];
     if (slot != leader) continue;
     memory_->restore_color(static_cast<sgx::ColorId>(c), image);
   }
 }
 
-std::uint64_t Machine::rejected_spawns() const {
-  const std::lock_guard<std::mutex> lock(runtimes_mu_);
-  std::uint64_t total = 0;
-  for (const auto& [tid, rt] : runtimes_) {
-    (void)tid;
-    total += rt->rejected_spawns();
-  }
-  return total;
-}
-
 runtime::RuntimeStats::Snapshot Machine::runtime_stats() const {
   runtime::RuntimeStats total;
   {
-    const std::lock_guard<std::mutex> lock(runtimes_mu_);
-    for (const auto& [tid, rt] : runtimes_) {
+    const std::lock_guard<std::mutex> lock(groups_mu_);
+    for (const auto& [tid, group] : groups_) {
       (void)tid;
-      total.accumulate(rt->stats_snapshot());
+      total.accumulate(group->runtime->stats_snapshot());
     }
   }
   const runtime::RuntimeStats::Snapshot snap = total.snapshot();
@@ -691,7 +675,6 @@ runtime::RuntimeStats::Snapshot Machine::runtime_stats() const {
     reg.counter("runtime.wait_timeouts").set(snap.wait_timeouts);
     reg.counter("runtime.retries").set(snap.retries);
     reg.counter("runtime.retransmits").set(snap.retransmits);
-    reg.counter("runtime.watchdog_fires").set(snap.watchdog_fires);
     reg.counter("runtime.poisoned_workers").set(snap.poisoned_workers);
     reg.counter("runtime.batched_messages").set(snap.batched_messages);
     reg.counter("runtime.batch_flushes").set(snap.batch_flushes);
@@ -743,17 +726,18 @@ std::int64_t Machine::call_external(const ir::Function* callee,
   return it->second(ctx, args);
 }
 
-std::optional<Result<std::int64_t>> Machine::take_worker_error() {
+std::optional<Result<std::int64_t>> Machine::take_worker_error(WorkerGroup& group) {
+  // The fault-free path: one load, no lock.
+  if (!group.failed.load(std::memory_order_acquire)) return std::nullopt;
   std::string error;
   StatusCode code = StatusCode::kGeneric;
   {
-    const std::lock_guard<std::mutex> lock(log_mu_);
-    error = std::move(first_error_);
-    code = first_error_code_;
-    first_error_.clear();
-    first_error_code_ = StatusCode::kGeneric;
+    const std::lock_guard<std::mutex> lock(group.mu);
+    error = std::move(group.error);
+    code = group.code;
+    group.error.clear();
+    group.failed.store(false, std::memory_order_relaxed);
   }
-  if (error.empty()) return std::nullopt;
   // A worker failed mid-protocol; surface its failure kind so callers can
   // branch on it (a recovery timeout is a runtime trap, not a hang).
   return Result<std::int64_t>(Status::error(code, "worker failed: " + error));
@@ -786,17 +770,19 @@ Result<std::int64_t> Machine::call(const std::string& name, std::vector<std::int
     if (token_it != fn_token_.end()) span_token = token_it->second;
   }
   CallSpan span(span_token);
+  WorkerGroup* group = nullptr;
   try {
-    runtime::ThreadRuntime& rt = runtime_for_current_thread();
+    group = &current_group();
+    runtime::ThreadRuntime& rt = *group->runtime;
     const std::int64_t r = exec_function(rt, fn, args, sgx::kUnsafe);
     // Flush point: the application thread may now leave the runtime's
     // control for arbitrarily long (this is the interface boundary), so any
     // trailing sibling cont/ack it batched must become visible to workers.
     rt.flush_current();
     span.result = r;
-    // Snapshot the worker-side failure under the lock AND clear it, so one
-    // failed call does not poison every later call on this machine.
-    if (auto failed = take_worker_error()) return *failed;
+    // Take the group's worker-side failure AND clear it, so one failed call
+    // does not poison every later call of this thread.
+    if (auto failed = take_worker_error(*group)) return *failed;
     return r;
   } catch (const runtime::RuntimeFault& f) {
     // A driver-side fault (timed-out wait, retransmit exhaustion) is often
@@ -804,7 +790,9 @@ Result<std::int64_t> Machine::call(const std::string& name, std::vector<std::int
     // EPC-budget fault inside an enclave leaves the driver waiting on a cont
     // that never comes. Prefer the worker's recorded root cause so callers
     // (and both engines) see the same typed status either way.
-    if (auto failed = take_worker_error()) return *failed;
+    if (group != nullptr) {
+      if (auto failed = take_worker_error(*group)) return *failed;
+    }
     return Result<std::int64_t>(f.status());
   } catch (const sgx::EpcExhausted& e) {
     // A host-side (unsafe-entry) allocation blew a color's budget: same

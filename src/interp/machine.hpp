@@ -127,28 +127,20 @@ class Machine {
   /// mailbox (the queues live in unsafe memory, §8) — the spawn guard must
   /// drop it.
   void inject_attacker_spawn(std::int64_t target_color, std::uint64_t chunk) {
-    runtime_for_current_thread().inject_raw(target_color,
-                                            runtime::Message::spawn(chunk, 0, 0, 0));
+    current_group().runtime->inject_raw(target_color,
+                                        runtime::Message::spawn(chunk, 0, 0, 0));
   }
-  /// Forged spawns dropped by the guards of every worker group.
-  [[nodiscard]] std::uint64_t rejected_spawns() const;
 
   /// Enables the runtime's fault-recovery protocol for worker groups created
   /// from now on (groups are created lazily, one per calling host thread):
-  /// waits are timed with bounded retry + retransmission, and — when
-  /// @p watchdog_deadline is non-zero — a watchdog unwedges workers blocked
-  /// past it. A wait that exhausts recovery surfaces from call() as a Status
-  /// with a typed code (kTimeout / kRetransmitExhausted / kWatchdogTimeout /
-  /// kWorkerPoisoned / kAttestationFailed) instead of deadlocking.
-  /// Microsecond-typed so failover configs can run sub-ms deadlines;
-  /// millisecond literals convert implicitly.
-  void enable_fault_recovery(std::chrono::microseconds wait_deadline,
-                             int max_retries = 3,
-                             std::chrono::microseconds watchdog_deadline =
-                                 std::chrono::microseconds{0}) {
-    recovery_deadline_ = wait_deadline;
-    recovery_max_retries_ = max_retries;
-    watchdog_deadline_ = watchdog_deadline;
+  /// waits are timed with bounded retry + retransmission. A wait that
+  /// exhausts recovery surfaces from call() as a Status with a typed code
+  /// (kTimeout / kRetransmitExhausted / kWorkerPoisoned / kAttestationFailed)
+  /// instead of deadlocking. Microsecond-typed so failover configs can run
+  /// sub-ms deadlines; millisecond literals convert implicitly.
+  void enable_fault_recovery(std::chrono::microseconds wait_deadline, int max_retries = 3) {
+    group_options_.wait_deadline = wait_deadline;
+    group_options_.max_retries = max_retries;
   }
 
   /// Enables §12 crash recovery for worker groups created from now on. The
@@ -158,25 +150,27 @@ class Machine {
   /// crashed with. Pass options with enabled=true (and hot_failover for warm
   /// standby takeover); any state_snapshot/state_restore already set win.
   void enable_crash_recovery(runtime::CheckpointOptions options) {
-    crash_recovery_ = std::move(options);
+    group_options_.checkpoint = std::move(options);
   }
 
   /// Attacker hooks over the §12 machinery of the CALLING host thread's
   /// worker group (created on first use, like every other group hook here).
   void arm_worker_crash(std::size_t color, runtime::CrashPoint point,
                         std::uint64_t nth = 0) {
-    runtime_for_current_thread().arm_crash(color, point, nth);
+    current_group().runtime->arm_crash(color, point, nth);
   }
   void inject_worker_crash(std::int64_t color) {
-    runtime_for_current_thread().inject_crash(color);
+    current_group().runtime->inject_crash(color);
   }
   void tamper_worker_checkpoint(std::size_t color) {
-    runtime_for_current_thread().tamper_checkpoint(color);
+    current_group().runtime->tamper_checkpoint(color);
   }
 
   /// Attaches an adversarial interposer to every mailbox of worker groups
   /// created from now on (tests/bench: call before the first call()).
-  void set_fault_injector(runtime::FaultInjector* injector) { injector_ = injector; }
+  void set_fault_injector(runtime::FaultInjector* injector) {
+    group_options_.injector = injector;
+  }
 
   /// Installs a placement plan (DESIGN.md §15): @p slot_table maps each
   /// color-table index to the index of its enclave-group leader
@@ -192,7 +186,9 @@ class Machine {
   /// slot 0. PlacementPlan::slot_table (analysis/placement.hpp) produces
   /// tables in exactly this shape.
   void set_placement(std::vector<std::size_t> slot_table);
-  [[nodiscard]] const std::vector<std::size_t>& placement() const { return placement_; }
+  [[nodiscard]] const std::vector<std::size_t>& placement() const {
+    return group_options_.color_slot;
+  }
 
   /// Aggregated recovery/fault counters over every worker group.
   [[nodiscard]] runtime::RuntimeStats::Snapshot runtime_stats() const;
@@ -211,11 +207,23 @@ class Machine {
   friend class bc::BytecodeExecutor;
   friend class bc::Decoder;
 
+  /// One application thread's worker group (§7.3.1), and the first failure
+  /// one of its workers recorded mid-protocol. Only that thread's call()
+  /// takes the record, so one client's enclave fault never surfaces from
+  /// another client's call.
+  struct WorkerGroup {
+    std::unique_ptr<runtime::ThreadRuntime> runtime;
+    std::atomic<bool> failed{false};  // call() reads it before taking mu
+    std::mutex mu;
+    std::string error;
+    StatusCode code = StatusCode::kGeneric;
+  };
+
   void allocate_globals(std::uint64_t epc_limit_bytes);
   [[nodiscard]] sgx::ColorId color_id_of_annotation(const std::string& annotation) const;
   /// The calling host thread's worker group, created on first use (§7.3.1).
-  runtime::ThreadRuntime& runtime_for_current_thread();
-  void run_chunk(runtime::ThreadRuntime& rt, std::uint64_t chunk_id, std::int64_t tags,
+  WorkerGroup& current_group();
+  void run_chunk(WorkerGroup& group, std::uint64_t chunk_id, std::int64_t tags,
                  std::int64_t leader, std::int64_t flags);
   std::int64_t exec_function(runtime::ThreadRuntime& rt, const ir::Function* fn,
                              std::span<const std::int64_t> args, sgx::ColorId me);
@@ -224,9 +232,10 @@ class Machine {
   /// Shared by both engines.
   std::int64_t call_external(const ir::Function* callee,
                              std::span<const std::int64_t> args, sgx::ColorId me);
-  /// Snapshots and clears the first worker-side failure of this call, as a
-  /// ready-to-return error Result; std::nullopt when no worker failed.
-  [[nodiscard]] std::optional<Result<std::int64_t>> take_worker_error();
+  /// Snapshots and clears the first failure @p group's workers recorded, as
+  /// a ready-to-return error Result; std::nullopt when none failed.
+  [[nodiscard]] static std::optional<Result<std::int64_t>> take_worker_error(
+      WorkerGroup& group);
   /// §12 checkpoint hooks, placement-aware: the image for a group leader
   /// carries every co-resident color's regions (merged serialize_color
   /// images); restore feeds the merged image back per member color.
@@ -237,17 +246,16 @@ class Machine {
   const partition::PartitionResult& program_;
   const ExecMode mode_;
   // Machine identity for the per-thread worker-group cache in
-  // runtime_for_current_thread(): unique across all Machines ever
-  // constructed, so a cache entry can never alias a reincarnation of this
-  // address.
+  // current_group(): unique across all Machines ever constructed, so a cache
+  // entry can never alias a reincarnation of this address.
   const std::uint64_t generation_;
   std::unique_ptr<sgx::SimMemory> memory_;
   // The whole program pre-decoded and fused to register bytecode (kFused;
   // null in kTreeWalk).
   std::unique_ptr<bc::ProgramCode> code_;
   // One worker group per application (host) thread, §7.3.1.
-  mutable std::mutex runtimes_mu_;
-  std::map<std::thread::id, std::unique_ptr<runtime::ThreadRuntime>> runtimes_;
+  mutable std::mutex groups_mu_;
+  std::map<std::thread::id, std::unique_ptr<WorkerGroup>> groups_;
   std::map<std::string, ExternalFn> externals_;
   std::map<const ir::GlobalVariable*, std::uint64_t> global_addr_;
   // Function-pointer tokens.
@@ -255,23 +263,18 @@ class Machine {
   std::map<std::int64_t, const ir::Function*> token_fn_;
   mutable std::mutex log_mu_;
   std::vector<std::string> external_log_;
-  std::string first_error_;  // first worker-side failure, surfaced by call()
-  StatusCode first_error_code_ = StatusCode::kGeneric;
   std::atomic<std::uint64_t> executed_{0};
   // Host-thread-set, worker-thread-read flags. They were plain bools — an
   // unsynchronized read under TSan when a test toggles them after workers
   // exist — and carry no ordering requirement, so relaxed atomics suffice.
   std::atomic<bool> pointer_auth_{false};
   std::atomic<bool> external_log_enabled_{false};
-  // Recovery configuration applied to lazily created worker groups.
-  std::chrono::microseconds recovery_deadline_{0};
-  int recovery_max_retries_ = 3;
-  std::chrono::microseconds watchdog_deadline_{0};
-  runtime::CheckpointOptions crash_recovery_{};  // §12; disabled by default
-  // Placement plan slot table (§15); empty = identity. Set before the first
-  // call() and read by worker threads afterwards, so no lock is needed.
-  std::vector<std::size_t> placement_;
-  runtime::FaultInjector* injector_ = nullptr;
+  // The runtime configuration of lazily created worker groups: recovery
+  // deadlines, §12 checkpoints, the injector and the §15 placement plan
+  // (color_slot). Set before the first call() and read by worker threads
+  // afterwards, so no lock is needed. The message guard (§8 extension) is
+  // always on: legitimate messages are MAC'd under an enclave-held secret.
+  runtime::RecoveryOptions group_options_{.spawn_secret = 0x9E3779B97F4A7C15ull};
   static constexpr std::uint64_t kMaxInstructions = 200'000'000;
   static constexpr std::uint64_t kPointerAuthSecret = 0xC0FFEE123456789Bull;
 };

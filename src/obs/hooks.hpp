@@ -21,9 +21,9 @@
 //     and all of its per-message histogram samples. An unsampled request
 //     records nothing.
 //   * Events that belong to no request — crashes, failovers, checkpoints,
-//     restores, watchdog fires, poisonings, retransmits, fault verdicts, and
-//     region allocations made outside any request — are recorded whenever
-//     tracing is on.
+//     restores, poisonings, retransmits, fault verdicts, and region
+//     allocations made outside any request — are recorded whenever tracing
+//     is on.
 //
 // Metric instruments are resolved once per hook via function-local statics,
 // so the steady-state cost of an enabled metric is the relaxed atomics of
@@ -136,10 +136,6 @@ inline void on_wait_segment(std::int64_t me, std::int64_t tag, std::uint8_t matc
 
 inline void on_retransmit(std::int64_t me, std::int64_t tag) {
   if (tracing_enabled()) emit(EventKind::kRetransmit, me, tag);
-}
-
-inline void on_watchdog_fire(std::int64_t color) {
-  if (tracing_enabled()) emit(EventKind::kWatchdogFire, color);
 }
 
 inline void on_worker_poisoned(std::int64_t color) {
@@ -348,7 +344,6 @@ inline void on_waited_recv(std::int64_t) {}
 [[nodiscard]] inline std::uint64_t wait_begin_tick() { return 0; }
 inline void on_wait_segment(std::int64_t, std::int64_t, std::uint8_t, std::uint64_t) {}
 inline void on_retransmit(std::int64_t, std::int64_t) {}
-inline void on_watchdog_fire(std::int64_t) {}
 inline void on_worker_poisoned(std::int64_t) {}
 inline void on_worker_crash(std::int64_t, std::uint8_t) {}
 inline void on_failover(std::int64_t, std::int64_t) {}

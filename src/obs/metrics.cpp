@@ -7,14 +7,9 @@
 
 namespace privagic::obs {
 
-namespace {
-std::atomic<bool> g_metrics_enabled{false};
-}  // namespace
-
-bool metrics_enabled() { return g_metrics_enabled.load(std::memory_order_relaxed); }
 void set_metrics_enabled(bool on) {
   if (on) restart_request_sampling();
-  g_metrics_enabled.store(on, std::memory_order_relaxed);
+  detail::metrics_enabled.store(on, std::memory_order_relaxed);
 }
 
 Histogram::Snapshot Histogram::snapshot() const {

@@ -181,10 +181,16 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<PerColorCounter>> per_color_;
 };
 
+namespace detail {
+inline std::atomic<bool> metrics_enabled{false};  // set via set_metrics_enabled
+}  // namespace detail
+
 /// Global switch for the metrics hooks (hooks.hpp): one relaxed load when
 /// off. Tracing and metrics toggle independently — benches measure each.
 /// Switching on restarts request sampling (trace.hpp, sample_request).
-[[nodiscard]] bool metrics_enabled();
+[[nodiscard]] inline bool metrics_enabled() {
+  return detail::metrics_enabled.load(std::memory_order_relaxed);
+}
 void set_metrics_enabled(bool on);
 
 /// Mirrors @p registry's snapshot into the writer's "metrics" section, so

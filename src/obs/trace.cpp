@@ -62,7 +62,6 @@ const char* event_kind_name(EventKind kind) {
     case EventKind::kRegionAlloc: return "region_alloc";
     case EventKind::kRegionFree: return "region_free";
     case EventKind::kFaultVerdict: return "fault_verdict";
-    case EventKind::kWatchdogFire: return "watchdog_fire";
     case EventKind::kRetransmit: return "retransmit";
     case EventKind::kWorkerPoisoned: return "worker_poisoned";
     case EventKind::kWorkerCrash: return "worker_crash";

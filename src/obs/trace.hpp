@@ -49,7 +49,6 @@ enum class EventKind : std::uint8_t {
   kRegionAlloc,    // a=base address, b=bytes, color=owner
   kRegionFree,     // a=base address, b=bytes, color=owner
   kFaultVerdict,   // detail=FaultKind the injector applied to a crossing
-  kWatchdogFire,   // color=unwedged worker
   kRetransmit,     // a=tag, color=waiter that triggered the resend
   kWorkerPoisoned, // color=poisoned worker
   kWorkerCrash,    // a=CrashPoint, color=crashed worker (DESIGN.md §12)

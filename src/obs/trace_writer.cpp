@@ -14,8 +14,7 @@ const char* msg_kind_name(std::uint8_t kind) {
     case 1: return "cont";
     case 2: return "ack";
     case 3: return "stop";
-    case 4: return "poison";
-    case 5: return "crash";
+    case 4: return "crash";
     default: return "?";
   }
 }
@@ -115,7 +114,6 @@ void append_args(std::string& out, const TraceEvent& e) {
       append_kv_str(out, "verdict",
                     e.b == 0 ? "ok" : (e.b == 1 ? "stale" : "tampered"), &first);
       break;
-    case EventKind::kWatchdogFire:
     case EventKind::kWorkerPoisoned:
       break;
   }

@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "runtime/message.hpp"
-#include "sgx/cost_model.hpp"
 #include "support/rng.hpp"
 
 namespace privagic::runtime {
@@ -170,26 +169,10 @@ struct CheckpointOptions {
   /// into a fresh sealed snapshot. Soft target: compaction only happens at
   /// quiescent points (never mid-chunk), so a long chunk can overshoot it.
   std::size_t checkpoint_interval = 64;
-  /// During replay, only the newest this-many journaled sends are actually
-  /// re-pushed (with their original seq — the dedup window de-duplicates).
-  /// Older sends were either delivered (re-push is a wasted wakeup) or lost
-  /// AND already survived the §6 retransmission machinery; skipping them
-  /// keeps replay O(journal) of memory work, not O(journal) of wakeups.
-  std::size_t replay_resend_window = 16;
-  /// Secret sealing checkpoints and chaining the journal. 0 = derive from
-  /// RecoveryOptions::spawn_secret (the usual configuration).
-  std::uint64_t seal_secret = 0;
-  /// Simulated SGX restart economics, defaulted from sgx::CostParams (see
-  /// cost_model.hpp): a cold restart pays restart_ns + attestation_ns on the
-  /// victim's critical path; a warm takeover pays attestation_ns off it
-  /// (pre-attested) plus the takeover bookkeeping. Charged into
-  /// RuntimeStats::restart_ns_charged; when sleep_on_restart is set the cold
-  /// path also burns the wall-clock time, which is what makes the failover
-  /// throughput floor in bench/fault_sweep an honest comparison.
-  std::uint64_t restart_ns =
-      static_cast<std::uint64_t>(sgx::CostParams{}.enclave_restart_ns);
-  std::uint64_t attestation_ns =
-      static_cast<std::uint64_t>(sgx::CostParams{}.attestation_ns);
+  /// Burn the simulated restart time (sgx::CostParams) as wall-clock time
+  /// too, on the paths where the victim would feel it. The cost is always
+  /// charged into RuntimeStats::restart_ns_charged; sleeping is what makes
+  /// the failover throughput floor in bench/fault_sweep an honest comparison.
   bool sleep_on_restart = true;
   /// Embedder state capture: serialize color @p c's memory image (the
   /// interpreter snapshots the color's SimMemory regions). Absent = the

@@ -6,6 +6,15 @@
 // keeps nested cross-enclave calls from deadlocking — see
 // partition/intrinsics.hpp).
 //
+// One consumer. Any thread may push, but one thread at a time consumes: U's
+// application thread, or its color's active worker (under a placement plan,
+// the group leader's). The consumer owns head_ and the pending list without
+// a lock. A change of consumer — the §12 hot-failover handoff, where a
+// standby replica takes over from a crashed worker — is ordered by a lock
+// the runtime holds (ColorRecovery::mu, workers.hpp): the dead worker stops
+// consuming before it releases the lock to hand off, and the standby starts
+// consuming only after it acquires it, so it sees everything drained before.
+//
 // Transport. This is the interpreter runtime's one message channel, built as
 // the paper's runtime builds its per-worker channel: "a lock-free FIFO queue
 // stored in unsafe memory" (§7.3.2). Three parts:
@@ -16,29 +25,27 @@
 //     to consumer and no other line: the waiter polls the head slot's
 //     publish word, not tail_; producers check fullness against a cached
 //     head (head_seen_) and re-read head_ only when the ring looks full; the
-//     drainer never writes a slot back, only head_. A publish word left from
+//     consumer never writes a slot back, only head_. A publish word left from
 //     an earlier lap is below head + 1, so it never passes for a fresh one;
 //   * an overflow list — a producer never blocks on a full ring. It appends
 //     under a lock instead, and while the list is non-empty every later push
-//     follows it there, so per-sender FIFO holds. The drainer takes the list
+//     follows it there, so per-sender FIFO holds. The consumer takes the list
 //     only once no ring push is still ahead of it. (Retransmits push from
-//     threads that are not draining their own mailbox, so a blocking push
-//     could deadlock);
-//   * a pending list — drained messages that did not match the current wait.
-//     One thread drains at a time (drain_mu_, never held while waiting), so
-//     several waiters and a hot-failover replica can share a mailbox.
+//     threads that are not consuming this mailbox, so a blocking push could
+//     deadlock);
+//   * a pending list — drained messages that did not match the current wait,
+//     kept in arrival order for the consumer's later waits.
 //
 // Semantics the runtime builds on:
 //   * next_for() — a timed variant of next(); the recovery protocol in
 //     workers.hpp builds its bounded-retry/backoff loop on it, so a dropped
 //     message degrades into a timeout instead of an eternal block.
 //   * stop is *sticky*: a pushed kStop sets a flag instead of being a queue
-//     entry one lucky waiter consumes. Every waiter — present and future —
-//     observes it, after first draining any matching or control messages
-//     queued before it.
+//     entry. The parked wait — and every later one — observes it, after
+//     first draining any matching or control messages queued before it.
 //   * an optional FaultInjector interposes on push, modeling the attacker
-//     who owns this queue's unsafe memory (kStop/kPoison/kCrash are runtime-
-//     internal control and bypass it). Filter and enqueue run under one
+//     who owns this queue's unsafe memory (kStop/kCrash are runtime-internal
+//     control and bypass it). Filter and enqueue run under one
 //     producer-side lock, so delivery order is the injector's crossing order.
 //   * push_batch() delivers a sender's coalesced outbox slot with one wake
 //     check; the injector still filters every message individually, so
@@ -128,11 +135,10 @@ class Mailbox {
       wake();
       return;
     }
-    // kPoison (watchdog) and kCrash (crash injection / replica handoff) model
-    // events *about* the channel's endpoints, not traffic on it, so the
-    // attacker interposer never sees them.
-    const bool control = m.kind == MsgKind::kPoison || m.kind == MsgKind::kCrash;
-    deliver(&m, 1, control ? nullptr : injector_.load(std::memory_order_acquire));
+    // kCrash (the §12 kill switch) models an event *about* the channel's
+    // endpoint, not traffic on it, so the attacker interposer never sees it.
+    deliver(&m, 1,
+            m.kind == MsgKind::kCrash ? nullptr : injector_.load(std::memory_order_acquire));
   }
 
   /// Delivers @p n messages with a single wake check — the receive side of
@@ -141,13 +147,13 @@ class Mailbox {
   /// what push() in a loop would give. The injector is consulted once *per
   /// message*: its crossing counter and hold-back buffers advance exactly as
   /// under unbatched delivery, which keeps the scripted fault tests' crossing
-  /// indices valid. Control messages (kStop/kPoison) never travel in batches.
+  /// indices valid. Control messages (kStop/kCrash) never travel in batches.
   void push_batch(const Message* msgs, std::size_t n) {
     deliver(msgs, n, injector_.load(std::memory_order_acquire));
   }
 
   /// Blocks until a message matching (kind, tag) — or any control message —
-  /// is available; removes and returns it. Control messages (spawn, poison)
+  /// is available; removes and returns it. Control messages (spawn, crash)
   /// win over a match that arrived later, preserving arrival order; a sticky
   /// stop is reported only once no queued message qualifies.
   Message next(MsgKind kind, std::int64_t tag) {
@@ -165,13 +171,9 @@ class Mailbox {
     return *take(MsgKind::kStop, 0, /*control_only=*/true, std::nullopt);
   }
 
-  std::optional<Message> next_control_for(Clock::duration timeout) {
-    return take(MsgKind::kStop, 0, /*control_only=*/true, Clock::now() + timeout);
-  }
-
-  /// Size snapshot: pending, ring and overflow (tests only).
+  /// Size snapshot: pending, ring and overflow (tests only). Call it from
+  /// the consumer, or once the consumer has joined: pending_ is its own.
   [[nodiscard]] std::size_t size() const {
-    const std::lock_guard<std::mutex> drain(drain_mu_);
     const std::lock_guard<std::mutex> overflow(overflow_mu_);
     return pending_.size() + overflow_.size() +
            (tail_.load(std::memory_order_acquire) - head_.load(std::memory_order_relaxed));
@@ -237,7 +239,7 @@ class Mailbox {
   std::size_t enqueue(const Message& m, bool measure) {
     if (!overflow_active_.load(std::memory_order_acquire)) {
       // head_seen_ is read before tail_, so head <= pos. The acquire pairs
-      // with the drainer's release of head_ (directly, or through the
+      // with the consumer's release of head_ (directly, or through the
       // producer that cached it): the slot's previous message is copied out.
       std::uint64_t head = head_seen_.load(std::memory_order_acquire);
       std::uint64_t pos = tail_.load(std::memory_order_relaxed);
@@ -246,12 +248,12 @@ class Mailbox {
           head = head_.load(std::memory_order_acquire);
           head_seen_.store(head, std::memory_order_release);
           pos = tail_.load(std::memory_order_relaxed);
-          if (pos - head >= kRingSlots) break;  // full: the drainer is a lap behind
+          if (pos - head >= kRingSlots) break;  // full: the consumer is a lap behind
         }
         if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
           // Occupancy is read only when it will be recorded: head_ sits on
-          // the drainer's hot cache line. Read before publishing, since the
-          // drainer cannot pass an unpublished slot, so head <= pos.
+          // the consumer's hot cache line. Read before publishing, since the
+          // consumer cannot pass an unpublished slot, so head <= pos.
           const std::uint64_t drained =
               measure ? head_.load(std::memory_order_relaxed) : pos;
           Slot& s = ring_[pos % kRingSlots];
@@ -267,9 +269,9 @@ class Mailbox {
     return kRingSlots + overflow_.size();
   }
 
-  /// Wakes parked waiters, if any. The fence pairs with the one in park():
-  /// either this load sees the sleeper, or the sleeper's re-check sees the
-  /// delivery this thread published before calling wake().
+  /// Wakes the parked consumer, if any. The fence pairs with the one in
+  /// park(): either this load sees the sleeper, or the sleeper's re-check
+  /// sees the delivery this thread published before calling wake().
   void wake() {
     store_load_fence();
     if (sleepers_.load(std::memory_order_relaxed) == 0) return;
@@ -278,23 +280,22 @@ class Mailbox {
   }
 
   /// True once something a poll could act on may have arrived since the
-  /// poll that left drained_ at @p seen. Polls the head slot's publish word,
-  /// so a spinning waiter shares only the line its next message lands on.
-  [[nodiscard]] bool ready(std::uint64_t seen) const {
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
+  /// consumer's last poll. Polls the head slot's publish word, so a spinning
+  /// waiter shares only the line its next message lands on.
+  [[nodiscard]] bool ready() const {
+    const std::uint64_t head = head_.load(std::memory_order_relaxed);
     return ring_[head % kRingSlots].seq.load(std::memory_order_acquire) == head + 1 ||
            overflow_active_.load(std::memory_order_acquire) ||
-           stopped_.load(std::memory_order_acquire) ||
-           drained_.load(std::memory_order_acquire) != seen;
+           stopped_.load(std::memory_order_acquire);
   }
 
-  /// Sleeps until a producer (or another drainer) signals, unless ready()
-  /// already holds after registering as a sleeper.
-  void park(std::uint64_t seen, std::optional<Clock::time_point> deadline) {
+  /// Sleeps until a producer signals, unless ready() already holds after
+  /// registering as a sleeper.
+  void park(std::optional<Clock::time_point> deadline) {
     std::unique_lock<std::mutex> lock(park_mu_);
     sleepers_.fetch_add(1, std::memory_order_relaxed);
     store_load_fence();
-    if (!ready(seen)) {
+    if (!ready()) {
       if (deadline.has_value()) {
         park_cv_.wait_until(lock, *deadline);
       } else {
@@ -304,7 +305,7 @@ class Mailbox {
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  /// Moves delivered messages into pending_ (caller holds drain_mu_).
+  /// Moves delivered messages into pending_ (consumer only).
   void drain() {
     const std::uint64_t start = head_.load(std::memory_order_relaxed);
     std::uint64_t head = start;
@@ -326,16 +327,10 @@ class Mailbox {
 
   /// One drain-and-match pass. Removes the first control message or, unless
   /// @p control_only, the first (kind, tag) match; a sticky stop answers a
-  /// pass that finds neither. @p seen receives drained_ for ready().
-  std::optional<Message> poll(MsgKind kind, std::int64_t tag, bool control_only,
-                              std::uint64_t& seen) {
-    const std::lock_guard<std::mutex> lock(drain_mu_);
+  /// pass that finds neither.
+  std::optional<Message> poll(MsgKind kind, std::int64_t tag, bool control_only) {
     const bool stop = stopped_.load(std::memory_order_acquire);
-    const std::size_t before = pending_.size();
     drain();
-    const bool appended = pending_.size() != before;
-    seen = drained_.load(std::memory_order_relaxed) + (appended ? 1 : 0);
-    if (appended) drained_.store(seen, std::memory_order_release);
     std::optional<Message> out;
     for (auto it = pending_.begin(); it != pending_.end(); ++it) {
       if (it->is_control() || (!control_only && it->kind == kind && it->tag == tag)) {
@@ -344,8 +339,6 @@ class Mailbox {
         break;
       }
     }
-    // What this pass drained but did not take may be another waiter's match.
-    if (appended && !pending_.empty()) wake();
     // Stop answers only once everything pushed before it has been drained.
     if (!out.has_value() && stop &&
         tail_.load(std::memory_order_acquire) == head_.load(std::memory_order_relaxed) &&
@@ -362,9 +355,8 @@ class Mailbox {
     std::uint32_t spins = 0;
     Clock::time_point yield_until{};  // set when the yield tier starts
     while (true) {
-      std::uint64_t seen = 0;
-      if (auto m = poll(kind, tag, control_only, seen)) return m;
-      while (!ready(seen)) {
+      if (auto m = poll(kind, tag, control_only)) return m;
+      while (!ready()) {
         if (spins < kPauseIters) {
           ++spins;
           cpu_relax();
@@ -372,7 +364,7 @@ class Mailbox {
         }
         const auto now = Clock::now();
         if (deadline.has_value() && now >= *deadline) {
-          return poll(kind, tag, control_only, seen);  // last look after the timeout
+          return poll(kind, tag, control_only);  // last look after the timeout
         }
         if (spins == kPauseIters) {
           ++spins;
@@ -385,7 +377,7 @@ class Mailbox {
           std::this_thread::yield();
           continue;
         }
-        park(seen, deadline);
+        park(deadline);
       }
     }
   }
@@ -393,11 +385,9 @@ class Mailbox {
   // Producers: claimed with one CAS each, checked against a cached head_.
   alignas(128) std::atomic<std::uint64_t> tail_{0};
   std::atomic<std::uint64_t> head_seen_{0};
-  // Drainer side, written under drain_mu_; read lock-free by ready().
+  // Consumer side: head_ is read by producers that find the ring full.
   alignas(128) std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> drained_{0};  // bumped by each poll that drains
   std::deque<Message> pending_;
-  mutable std::mutex drain_mu_;
   // Rarely written flags and the park rendezvous.
   alignas(128) std::atomic<bool> overflow_active_{false};
   std::atomic<bool> stopped_{false};

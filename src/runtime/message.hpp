@@ -1,5 +1,7 @@
 // Inter-enclave messages (§7.3.2): spawn starts a chunk on another enclave's
-// worker, cont carries an F value, ack is a completion/barrier token.
+// worker, cont carries an F value, ack is a completion/barrier token. Two
+// more kinds are runtime control, never protocol traffic: stop (the sticky
+// shutdown flag, mailbox.hpp) and crash (the §12 kill switch).
 //
 // Because the queues live in *unsafe* memory, the hardened threat model lets
 // an attacker drop, duplicate, reorder, corrupt, or forge any of these. Two
@@ -24,7 +26,7 @@
 
 namespace privagic::runtime {
 
-enum class MsgKind : std::uint8_t { kSpawn, kCont, kAck, kStop, kPoison, kCrash };
+enum class MsgKind : std::uint8_t { kSpawn, kCont, kAck, kStop, kCrash };
 
 struct Message {
   MsgKind kind = MsgKind::kCont;
@@ -76,18 +78,10 @@ struct Message {
     m.kind = MsgKind::kStop;
     return m;
   }
-  /// Synthetic control message the watchdog uses to unwedge a worker that is
-  /// blocked past its deadline. Never crosses the injector and never forged
-  /// (it is produced and consumed inside the same runtime object).
-  static Message poison() {
-    Message m;
-    m.kind = MsgKind::kPoison;
-    return m;
-  }
   /// Kill signal for the worker that pops it: the enclave aborts on the spot,
   /// losing every byte of in-enclave state (DESIGN.md §12). Produced by the
-  /// FaultInjector's crash mode or ThreadRuntime::inject_crash; like kPoison
-  /// it is runtime-internal control and carries no seq/MAC — the threat model
+  /// FaultInjector's crash mode or ThreadRuntime::inject_crash; like kStop it
+  /// is runtime-internal control and carries no seq/MAC — the threat model
   /// already grants the attacker the power to kill an enclave at will (a
   /// denial, never a disclosure).
   static Message crash() {
@@ -97,8 +91,7 @@ struct Message {
   }
 
   [[nodiscard]] bool is_control() const {
-    return kind == MsgKind::kSpawn || kind == MsgKind::kStop ||
-           kind == MsgKind::kPoison || kind == MsgKind::kCrash;
+    return kind == MsgKind::kSpawn || kind == MsgKind::kStop || kind == MsgKind::kCrash;
   }
 };
 

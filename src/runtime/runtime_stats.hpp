@@ -22,7 +22,7 @@ namespace privagic::runtime {
 /// atomics: they order nothing, they only count.
 ///
 /// Concurrency audit (observability PR): every field below is incremented
-/// from worker/watchdog threads while the host thread may call snapshot(),
+/// from worker threads while the host thread may call snapshot(),
 /// so *no* member may be a plain integer — keep new counters atomic. The
 /// aggregated snapshot is additionally mirrored into obs::MetricsRegistry by
 /// interp::Machine::runtime_stats() when metrics collection is enabled.
@@ -36,7 +36,6 @@ struct RuntimeStats {
   std::atomic<std::uint64_t> wait_timeouts{0};       // a timed wait expired once
   std::atomic<std::uint64_t> retries{0};             // backoff rounds after a timeout
   std::atomic<std::uint64_t> retransmits{0};         // messages re-pushed from the sent log
-  std::atomic<std::uint64_t> watchdog_fires{0};      // watchdog unwedged a blocked worker
   std::atomic<std::uint64_t> poisoned_workers{0};    // workers marked unrecoverable
 
   // Batched call path (perf PR). batched_messages / batch_flushes give the
@@ -77,7 +76,6 @@ struct RuntimeStats {
     std::uint64_t wait_timeouts = 0;
     std::uint64_t retries = 0;
     std::uint64_t retransmits = 0;
-    std::uint64_t watchdog_fires = 0;
     std::uint64_t poisoned_workers = 0;
     std::uint64_t batched_messages = 0;
     std::uint64_t batch_flushes = 0;
@@ -105,7 +103,6 @@ struct RuntimeStats {
     s.wait_timeouts = wait_timeouts.load(std::memory_order_relaxed);
     s.retries = retries.load(std::memory_order_relaxed);
     s.retransmits = retransmits.load(std::memory_order_relaxed);
-    s.watchdog_fires = watchdog_fires.load(std::memory_order_relaxed);
     s.poisoned_workers = poisoned_workers.load(std::memory_order_relaxed);
     s.batched_messages = batched_messages.load(std::memory_order_relaxed);
     s.batch_flushes = batch_flushes.load(std::memory_order_relaxed);
@@ -135,7 +132,6 @@ struct RuntimeStats {
     wait_timeouts.fetch_add(s.wait_timeouts, std::memory_order_relaxed);
     retries.fetch_add(s.retries, std::memory_order_relaxed);
     retransmits.fetch_add(s.retransmits, std::memory_order_relaxed);
-    watchdog_fires.fetch_add(s.watchdog_fires, std::memory_order_relaxed);
     poisoned_workers.fetch_add(s.poisoned_workers, std::memory_order_relaxed);
     batched_messages.fetch_add(s.batched_messages, std::memory_order_relaxed);
     batch_flushes.fetch_add(s.batch_flushes, std::memory_order_relaxed);

@@ -30,17 +30,15 @@
 //   * waits are timed (Mailbox::next_for) with bounded retry and exponential
 //     backoff; each retry retransmits the awaited message from a sender-side
 //     log kept in safe memory, so a dropped cont/ack is recovered rather
-//     than fatal;
-//   * a watchdog thread detects workers blocked past a configurable deadline
-//     (covering untimed waits) and unwedges them with a kPoison control
-//     message;
+//     than fatal. The timed wait is the one mechanism that bounds a blocked
+//     worker;
 //   * a worker whose wait is beyond recovery is marked *poisoned*; its wait
-//     throws RuntimeFault (kTimeout / kWorkerPoisoned) instead of hanging,
-//     and the embedder surfaces that as a Status-carrying runtime trap
-//     (interp::Machine::call).
+//     throws RuntimeFault (kTimeout / kRetransmitExhausted / kWorkerPoisoned)
+//     instead of hanging, and the embedder surfaces that as a Status-carrying
+//     runtime trap (interp::Machine::call).
 //
-// All defaults keep the seed semantics (infinite waits, no watchdog): the
-// recovery machinery activates only through RecoveryOptions.
+// All defaults keep the seed semantics (untimed waits): the recovery
+// machinery activates only through RecoveryOptions.
 //
 // == Batched call path (DESIGN.md §11) ==
 //
@@ -62,7 +60,7 @@
 // own color never needs to cross unsafe memory at all — it is queued on the
 // sending thread's private self-queue and consumed at that thread's next
 // wait (spawns run inline via the chunk runner; counted in
-// stats().calls_elided, and the dispatch itself still appears in the
+// stats_snapshot().calls_elided, and the dispatch itself still appears in the
 // interp.chunks_dispatched metric). Self messages carry no seq/MAC and are
 // invisible to the injector: nothing the attacker owns ever holds them.
 //
@@ -107,6 +105,7 @@
 #include "runtime/fault_injector.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/runtime_stats.hpp"
+#include "sgx/cost_model.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
 
@@ -126,9 +125,9 @@ struct WorkerStopped {};
 struct WorkerCrashed {};
 
 /// Knobs for the fault-recovery protocol. The zero-initialized defaults
-/// reproduce the seed runtime exactly: untimed waits, no watchdog, no
-/// injector. (RuntimeFault, in runtime_stats.hpp, *is* a std::exception —
-/// embedders are supposed to catch it and surface its Status.)
+/// reproduce the seed runtime exactly: untimed waits, no injector.
+/// (RuntimeFault, in runtime_stats.hpp, *is* a std::exception — embedders
+/// are supposed to catch it and surface its Status.)
 struct RecoveryOptions {
   /// Non-zero enables spawn/cont/ack authentication (the §8 extension):
   /// legitimate messages are MAC'd with this enclave-held secret; forged or
@@ -148,10 +147,6 @@ struct RecoveryOptions {
   /// Backoff rounds after the first timeout before the wait gives up. The
   /// attempt deadline doubles each round (d, 2d, 4d, ...).
   int max_retries = 3;
-  /// Deadline after which the watchdog unwedges a blocked worker with a
-  /// kPoison message; 0 disables the watchdog thread. The watchdog itself
-  /// tracks blocked episodes at millisecond granularity.
-  std::chrono::microseconds watchdog_deadline{0};
   /// Adversarial interposer on every mailbox push (nullptr = clean runs).
   FaultInjector* injector = nullptr;
   /// Crash recovery (DESIGN.md §12): per-color sealed checkpoints + journal,
@@ -177,12 +172,6 @@ class ThreadRuntime {
                                          std::int64_t flags)>;
 
   /// @p num_colors — size of the color table (index 0 = U).
-  /// Seed-compatible constructor: @p spawn_secret as the single knob.
-  explicit ThreadRuntime(std::size_t num_colors, ChunkRunner runner,
-                         std::uint64_t spawn_secret = 0)
-      : ThreadRuntime(num_colors, std::move(runner),
-                      RecoveryOptions{.spawn_secret = spawn_secret}) {}
-
   ThreadRuntime(std::size_t num_colors, ChunkRunner runner, RecoveryOptions options)
       : runner_(std::move(runner)),
         options_(std::move(options)),
@@ -193,15 +182,12 @@ class ThreadRuntime {
         // the fault-free hot path).
         retransmit_live_(options_.wait_deadline.count() > 0 ||
                          options_.app_wait_deadline.count() > 0),
-        seal_secret_(options_.checkpoint.seal_secret != 0
-                         ? options_.checkpoint.seal_secret
-                         : options_.spawn_secret ^ kSealSalt),
+        seal_secret_(options_.spawn_secret ^ kSealSalt),
         mailboxes_(num_colors),
         next_seq_(num_colors),
         seen_(num_colors),
         sent_log_(num_colors),
         poisoned_(num_colors),
-        blocked_since_ms_(num_colors),
         armed_(num_colors) {
     if (!options_.color_slot.empty()) {
       if (options_.color_slot.size() != num_colors) {
@@ -229,13 +215,12 @@ class ThreadRuntime {
         mailboxes_[c]->set_injector(options_.injector, c);
       }
       poisoned_[c].store(false, std::memory_order_relaxed);
-      blocked_since_ms_[c].store(kNotBlocked, std::memory_order_relaxed);
       for (auto& a : armed_[c]) a.store(-1, std::memory_order_relaxed);
       recovery_.push_back(std::make_unique<ColorRecovery>());
     }
     // One worker per enclave color, plus a warm standby replica each when hot
-    // failover is on. The replica parks on the color's handoff gate; nothing
-    // about the mailbox changes — whichever thread is active serves it.
+    // failover is on. The replica parks on the color's handoff gate, not on
+    // the mailbox: the mailbox's one consumer is whichever thread is active.
     const std::size_t replicas =
         (options_.checkpoint.enabled && options_.checkpoint.hot_failover) ? 2 : 1;
     for (std::size_t c = 1; c < num_colors; ++c) {
@@ -245,9 +230,6 @@ class ThreadRuntime {
       for (std::size_t r = 0; r < replicas; ++r) {
         workers_.emplace_back([this, c, r] { worker_lifecycle(c, /*primary=*/r == 0); });
       }
-    }
-    if (options_.watchdog_deadline.count() > 0) {
-      watchdog_ = std::thread([this] { watchdog_loop(); });
     }
   }
 
@@ -259,14 +241,6 @@ class ThreadRuntime {
     if (stopped_) return;
     stopped_ = true;
     flush_current();  // don't let queued protocol messages rot behind the stops
-    if (watchdog_.joinable()) {
-      {
-        const std::lock_guard<std::mutex> lock(watchdog_mu_);
-        watchdog_stop_ = true;
-      }
-      watchdog_cv_.notify_all();
-      watchdog_.join();
-    }
     for (std::size_t c = 1; c < mailboxes_.size(); ++c) {
       mailboxes_[c]->push(Message::stop());
     }
@@ -351,11 +325,6 @@ class ThreadRuntime {
     const std::lock_guard<std::mutex> lock(rec.mu);
     return rec.checkpoint.epoch;
   }
-  [[nodiscard]] std::size_t journal_size(std::size_t color) const {
-    ColorRecovery& rec = *recovery_[color];
-    const std::lock_guard<std::mutex> lock(rec.mu);
-    return rec.journal.size();
-  }
 
   /// Flushes every batch the *calling thread* has deferred. Every wait and
   /// the worker idle loop flush implicitly; embedders call this before
@@ -378,12 +347,10 @@ class ThreadRuntime {
 
   [[nodiscard]] std::size_t num_colors() const { return mailboxes_.size(); }
 
-  [[nodiscard]] const RuntimeStats& stats() const { return stats_; }
-
-  /// Coherent counter snapshot including what the send path keeps out of the
+  /// The runtime's counters. Folds in what the send path keeps out of the
   /// shared RuntimeStats atomics: messages_sent (from the per-target seq
   /// counters) and flush_one's thread-private batch_flushes /
-  /// batched_messages / slab_highwater. Callers need this for those four.
+  /// batched_messages / slab_highwater.
   [[nodiscard]] RuntimeStats::Snapshot stats_snapshot() const {
     RuntimeStats::Snapshot snap = stats_.snapshot();
     for (const SeqCounter& c : next_seq_) {
@@ -401,12 +368,6 @@ class ThreadRuntime {
     return snap;
   }
 
-  /// Forged spawn messages dropped by the guard so far (seed-compatible
-  /// alias for stats().forged_spawn_rejects).
-  [[nodiscard]] std::uint64_t rejected_spawns() const {
-    return stats_.forged_spawn_rejects.load(std::memory_order_relaxed);
-  }
-
   [[nodiscard]] bool poisoned(std::size_t color) const {
     return poisoned_[color].load(std::memory_order_relaxed);
   }
@@ -415,14 +376,24 @@ class ThreadRuntime {
   }
 
  private:
-  static constexpr std::int64_t kNotBlocked = -1;
-  static constexpr std::int64_t kWatchdogFired = -2;
   static constexpr std::size_t kSentLogCap = 512;   // per-color retransmit window
   static constexpr std::size_t kSeqWindowCap = 8192;  // per-color dedup window
   static constexpr std::size_t kGoBackWindow = 8;   // fallback resend breadth
-  // Domain-separates the checkpoint-sealing key from the message MAC key
-  // when both are derived from the one spawn_secret.
+  // Domain-separates the checkpoint-sealing key from the message MAC key,
+  // both derived from the one spawn_secret.
   static constexpr std::uint64_t kSealSalt = 0x5EA1'5EC4'E7B1'7E5Dull;
+  // During replay only the newest this-many journaled sends are re-pushed
+  // (with their original seq; the receiver's dedup window absorbs doubles).
+  // Older ones were delivered, or were lost and already went through the §6
+  // retransmission, so replay costs O(journal) memory work, not wakeups.
+  static constexpr std::size_t kReplayResendWindow = 16;
+  // Simulated SGX restart economics (sgx::CostParams): a cold restart pays
+  // kRestartNs + kAttestationNs on the victim's critical path; a warm
+  // takeover pays kAttestationNs (pre-attested) off it.
+  static constexpr auto kRestartNs =
+      static_cast<std::uint64_t>(sgx::CostParams{}.enclave_restart_ns);
+  static constexpr auto kAttestationNs =
+      static_cast<std::uint64_t>(sgx::CostParams{}.attestation_ns);
 
   /// Color id → mailbox/worker slot. THE single translation point for the
   /// placement plan: every path that routes by color (send, wait, inject,
@@ -449,10 +420,11 @@ class ThreadRuntime {
   /// shared (worker appends, standby copies on takeover, test hooks attack) —
   /// all under `mu`, which doubles as the happens-before edge of a handoff:
   /// the dying active locks it to set `handoff`, the standby locks it to
-  /// consume, so every preceding plain write (the seq window, the journal) is
-  /// visible to the replica. The replay fields and `depth` below the marker
-  /// are touched only by the color's currently-active thread — exactly one
-  /// exists at any time — and need no lock.
+  /// consume, so every preceding plain write (the seq window, the journal,
+  /// the mailbox's consumer-owned pending list) is visible to the replica,
+  /// the mailbox's next consumer. The replay fields and `depth` below the
+  /// marker are touched only by the color's currently-active thread —
+  /// exactly one exists at any time — and need no lock.
   struct ColorRecovery {
     mutable std::mutex mu;
     std::condition_variable cv;
@@ -753,7 +725,7 @@ class ThreadRuntime {
   /// instead of sequencing a fresh message. Self sends re-enter the
   /// self-queue (their consumptions are replayed from the journal too);
   /// cross-color sends re-journal under their ORIGINAL seq and only the
-  /// newest replay_resend_window of them are physically re-pushed — older
+  /// newest kReplayResendWindow of them are physically re-pushed — older
   /// ones were delivered (re-push dedups to nothing) or are already covered
   /// by the §6 retransmission machinery.
   bool replay_send(std::size_t me, ColorRecovery& rec, OutboxSet& ob,
@@ -778,8 +750,7 @@ class ThreadRuntime {
       stats_.replay_entries.fetch_add(1, std::memory_order_relaxed);
       journal_append(me, JournalOp::kSend, target, e.msg);
       ++rec.replay_sends_seen;
-      if (rec.replay_sends_seen + options_.checkpoint.replay_resend_window >
-          rec.replay_sends_total) {
+      if (rec.replay_sends_seen + kReplayResendWindow > rec.replay_sends_total) {
         stats_.replayed_sends.fetch_add(1, std::memory_order_relaxed);
         mailboxes_[target]->push(e.msg);  // original seq: receiver dedups
       }
@@ -839,7 +810,7 @@ class ThreadRuntime {
         // path, so the handoff pays only the re-attestation handshake (no
         // rebuild, no wall-clock sleep) before replaying the journal.
         stats_.failovers.fetch_add(1, std::memory_order_relaxed);
-        charge_restart(options_.checkpoint.attestation_ns, /*may_sleep=*/false);
+        charge_restart(kAttestationNs, /*may_sleep=*/false);
         thread_outbox(me);  // register color identity before any traffic
         std::size_t backlog = 0;
         {
@@ -879,18 +850,14 @@ class ThreadRuntime {
           rec.cv.notify_one();
           // Rebuild in the background — off the color's critical path, the
           // standby is already taking over — then park as the new standby.
-          charge_restart(
-              options_.checkpoint.restart_ns + options_.checkpoint.attestation_ns,
-              /*may_sleep=*/true);
+          charge_restart(kRestartNs + kAttestationNs, /*may_sleep=*/true);
           active = false;
           continue;
         }
         // Cold restart on the critical path: tear down, rebuild, re-attest —
         // all while every peer waiting on this color burns its deadline.
         stats_.cold_restarts.fetch_add(1, std::memory_order_relaxed);
-        charge_restart(
-            options_.checkpoint.restart_ns + options_.checkpoint.attestation_ns,
-            /*may_sleep=*/true);
+        charge_restart(kRestartNs + kAttestationNs, /*may_sleep=*/true);
         need_restore = true;
         continue;
       }
@@ -1105,25 +1072,11 @@ class ThreadRuntime {
     run_chunk_journaled(me, m);
   }
 
-  void mark_blocked(std::size_t me, bool blocked) {
-    // Without a watchdog nobody ever reads these timestamps; skip the clock
-    // read + store pair on the wait hot path entirely.
-    if (options_.watchdog_deadline.count() <= 0) return;
-    if (blocked) {
-      const auto now_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count();
-      blocked_since_ms_[me].store(now_ms, std::memory_order_relaxed);
-    } else {
-      blocked_since_ms_[me].store(kNotBlocked, std::memory_order_relaxed);
-    }
-  }
-
   /// Marks @p me poisoned, remembering the group's FIRST poisoning cause so
-  /// later waiters fail with the root reason (watchdog timeout, attestation
-  /// reject, ...) rather than the generic kWorkerPoisoned. The reason store
-  /// is sequenced before the release on any_poisoned_; readers load
-  /// any_poisoned_ with acquire before reading the reason.
+  /// later waiters fail with the root reason (retransmit exhaustion,
+  /// attestation reject, ...) rather than the generic kWorkerPoisoned. The
+  /// reason store is sequenced before the release on any_poisoned_; readers
+  /// load any_poisoned_ with acquire before reading the reason.
   void poison(std::size_t me, StatusCode reason = StatusCode::kWorkerPoisoned) {
     if (!any_poisoned_.load(std::memory_order_relaxed)) {
       first_poison_reason_.store(reason, std::memory_order_relaxed);
@@ -1196,7 +1149,6 @@ class ThreadRuntime {
         return *sm;  // matching cont/ack without any crossing
       }
       std::optional<Message> m;
-      mark_blocked(me, true);
       const std::uint64_t wait_begin = obs::wait_begin_tick();
       if (timed) {
         m = mailboxes_[me]->next_for(kind, tag, attempt_deadline);
@@ -1206,7 +1158,6 @@ class ThreadRuntime {
       obs::on_wait_segment(static_cast<std::int64_t>(me), tag,
                            m.has_value() ? static_cast<std::uint8_t>(m->kind) + 1 : 0,
                            wait_begin);
-      mark_blocked(me, false);
       if (!m.has_value()) {  // timed out
         stats_.wait_timeouts.fetch_add(1, std::memory_order_relaxed);
         if (attempt >= options_.max_retries) give_up(me, kind, tag, resent);
@@ -1225,12 +1176,6 @@ class ThreadRuntime {
         case MsgKind::kCrash:
           if (me == 0) break;  // U runs outside any enclave; nothing to kill
           crash_now(me, CrashPoint::kWaitEntry);
-        case MsgKind::kPoison:
-          poison(me, StatusCode::kWatchdogTimeout);
-          throw RuntimeFault(StatusCode::kWatchdogTimeout,
-                             "worker " + std::to_string(me) +
-                                 " poisoned by the watchdog while waiting for tag " +
-                                 std::to_string(tag));
         default:
           if (!validate(me, *m)) break;  // quarantined; keep waiting
           obs::on_waited_recv(static_cast<std::int64_t>(me));  // kWait is the event
@@ -1269,10 +1214,6 @@ class ThreadRuntime {
         // enclave death. The spawn the crash raced stays in the mailbox.
         crash_now(me, CrashPoint::kWaitEntry);
       }
-      if (m.kind == MsgKind::kPoison) {
-        poison(me);
-        continue;  // stay alive: the group still needs a joinable thread
-      }
       try {
         serve_spawn(me, m);
       } catch (const WorkerStopped&) {
@@ -1280,39 +1221,6 @@ class ThreadRuntime {
       } catch (const RuntimeFault&) {
         // The chunk's wait gave up; the worker is already marked poisoned.
         // Keep draining control messages so shutdown stays clean.
-      }
-    }
-  }
-
-  void watchdog_loop() {
-    // The deadline field is µs-typed; the watchdog itself stays a coarse
-    // millisecond-granularity sweeper (sub-ms deadlines round up to 1ms).
-    const auto deadline_ms = std::max<std::int64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            options_.watchdog_deadline)
-            .count(),
-        1);
-    const auto period = std::chrono::milliseconds(std::max<std::int64_t>(deadline_ms / 4, 1));
-    std::unique_lock<std::mutex> lock(watchdog_mu_);
-    while (!watchdog_stop_) {
-      watchdog_cv_.wait_for(lock, period);
-      if (watchdog_stop_) return;
-      const auto now_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              std::chrono::steady_clock::now().time_since_epoch())
-                              .count();
-      for (std::size_t c = 0; c < blocked_since_ms_.size(); ++c) {
-        std::int64_t since = blocked_since_ms_[c].load(std::memory_order_relaxed);
-        if (since < 0 || now_ms - since <= deadline_ms) continue;
-        // Fire exactly once per blocked episode: the sentinel is cleared by
-        // the worker's own mark_blocked(false) when it unblocks.
-        if (!blocked_since_ms_[c].compare_exchange_strong(since, kWatchdogFired,
-                                                          std::memory_order_relaxed)) {
-          continue;
-        }
-        stats_.watchdog_fires.fetch_add(1, std::memory_order_relaxed);
-        obs::on_watchdog_fire(static_cast<std::int64_t>(c));
-        poison(c, StatusCode::kWatchdogTimeout);
-        mailboxes_[c]->push(Message::poison());
       }
     }
   }
@@ -1414,7 +1322,6 @@ class ThreadRuntime {
   /// Root cause of the group's first poisoning; valid once any_poisoned_
   /// reads true with acquire (see poison()).
   std::atomic<StatusCode> first_poison_reason_{StatusCode::kWorkerPoisoned};
-  std::vector<std::atomic<std::int64_t>> blocked_since_ms_;
   /// §12 per-color recovery state; unique_ptr so ColorRecovery (mutex/cv,
   /// not movable) can live in a vector.
   std::vector<std::unique_ptr<ColorRecovery>> recovery_;
@@ -1422,10 +1329,6 @@ class ThreadRuntime {
   /// to the fatal one; -1 = disarmed. Written by arm_crash, consumed by the
   /// owning worker thread.
   std::vector<std::array<std::atomic<std::int64_t>, kNumCrashPoints>> armed_;
-  std::thread watchdog_;
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;
   bool stopped_ = false;
 };
 

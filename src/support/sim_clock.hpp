@@ -53,8 +53,8 @@ class SimDeadline {
   double expiry_ns_;
 };
 
-/// A wall-clock deadline for the *functional* runtime (watchdog, timed
-/// waits), where real threads block on real condition variables. Monotonic.
+/// A wall-clock deadline for the *functional* runtime (timed waits), where
+/// real threads block on real condition variables. Monotonic.
 class Deadline {
  public:
   static Deadline after(std::chrono::milliseconds budget) {

@@ -24,7 +24,6 @@ enum class StatusCode {
   kForged,          // a spawn failed authentication (§8 spawn guard)
   kWorkerPoisoned,  // a worker was marked unrecoverable; its waiters drained
   kShutdown,        // the runtime stopped while the operation was pending
-  kWatchdogTimeout,      // the watchdog unwedged this worker's blocked wait
   kRetransmitExhausted,  // every retry retransmitted and the window still ran dry
   kAttestationFailed,    // a restarting enclave presented a stale/tampered checkpoint
   kEpcExhausted,         // an allocation exceeded a color's enforced EPC budget
@@ -40,7 +39,6 @@ enum class StatusCode {
     case StatusCode::kForged: return "forged";
     case StatusCode::kWorkerPoisoned: return "worker-poisoned";
     case StatusCode::kShutdown: return "shutdown";
-    case StatusCode::kWatchdogTimeout: return "watchdog-timeout";
     case StatusCode::kRetransmitExhausted: return "retransmit-exhausted";
     case StatusCode::kAttestationFailed: return "attestation-failed";
     case StatusCode::kEpcExhausted: return "epc-exhausted";

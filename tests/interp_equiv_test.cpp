@@ -23,6 +23,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -618,6 +620,97 @@ entry:
         }
         EXPECT_TRUE(tripped) << "no typed EPC fault in results";
       });
+}
+
+// ---------------------------------------------------------------------------
+// Two clients, one Machine: each application thread owns its worker group
+// (§7.3.1), so an enclave fault in one client's chunk belongs to that
+// client's call alone. The faulting chunk's only messages to U are its
+// result cont and completion ack, so U moves on at once (no deadline needed)
+// and parks in the @hold external while the other client completes a call.
+// ---------------------------------------------------------------------------
+
+TEST(InterpEquivTest, WorkerFaultSurfacesOnlyInTheFaultingClientsCall) {
+  const char* text = R"(
+module "two_clients"
+global ptr<[8192 x i64] color(blue)> @keep color(blue)
+global i64 @count color(blue)
+declare i64 @hold(i64)
+define i64 @blue_grow(i64 %x) {
+entry:
+  %p = heap_alloc [8192 x i64] color(blue)
+  store ptr<[8192 x i64] color(blue)> %p, ptr<ptr<[8192 x i64] color(blue)> color(blue)> @keep
+  %y = add i64 %x, i64 1
+  ret i64 %y
+}
+define i64 @blue_bump(i64 %x) {
+entry:
+  %c = load ptr<i64 color(blue)> @count
+  %n = add i64 %c, %x
+  store i64 %n, ptr<i64 color(blue)> @count
+  %y = add i64 %x, i64 1
+  ret i64 %y
+}
+define i64 @grow(i64 %x) entry {
+entry:
+  %r = call i64 @blue_grow(i64 %x)
+  %h = call i64 @hold(i64 %r)
+  ret i64 %h
+}
+define i64 @bump(i64 %x) entry {
+entry:
+  %r = call i64 @blue_bump(i64 %x)
+  ret i64 %r
+}
+)";
+  for (const ExecMode mode : {ExecMode::kTreeWalk, ExecMode::kFused}) {
+    SCOPED_TRACE(mode == ExecMode::kFused ? "fused" : "tree-walker");
+    const Compiled c = compile(text, Mode::kRelaxed);
+    interp::Machine m(*c.program, /*epc_limit_bytes=*/0, mode);
+    sgx::EpcBudget budget;
+    budget.hard_limit = 32 * 1024;  // the globals fit, a 64 KiB growth does not
+    m.memory().set_epc_budget(budget);
+
+    std::mutex mu;
+    std::condition_variable cv;
+    bool a_held = false;
+    bool b_done = false;
+    m.bind_external("hold", [&](interp::Machine::ExternalCtx&,
+                                std::span<const std::int64_t> args) {
+      std::unique_lock<std::mutex> lock(mu);
+      a_held = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return b_done; });
+      return args[0];
+    });
+
+    std::optional<Result<std::int64_t>> a;
+    std::optional<Result<std::int64_t>> a_next;
+    std::thread client_a([&] {
+      a = m.call("grow", {1});
+      a_next = m.call("bump", {4});  // the record was taken with A's error
+    });
+    {
+      // A's fault is recorded before the result cont that lets A reach @hold.
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return a_held; });
+    }
+    const Result<std::int64_t> b = m.call("bump", {2});
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      b_done = true;
+    }
+    cv.notify_all();
+    client_a.join();
+
+    ASSERT_TRUE(b.ok()) << "client B got client A's fault: " << b.message();
+    EXPECT_EQ(b.value(), 3);
+    ASSERT_TRUE(a.has_value());
+    ASSERT_FALSE(a->ok()) << "client A's fault was lost; it returned " << a->value();
+    EXPECT_EQ(a->status().code(), StatusCode::kEpcExhausted) << a->message();
+    ASSERT_TRUE(a_next.has_value());
+    EXPECT_TRUE(a_next->ok()) << a_next->message();
+  }
 }
 
 }  // namespace

@@ -442,7 +442,7 @@ TEST(SpawnGuardTest, AttackerInjectedSpawnIsDroppedAndExecutionContinues) {
   auto r = m.call("main", {});
   ASSERT_TRUE(r.ok()) << r.message();
   EXPECT_EQ(r.value(), 42);
-  EXPECT_EQ(m.rejected_spawns(), c.program->chunks.size());
+  EXPECT_EQ(m.runtime_stats().forged_spawn_rejects, c.program->chunks.size());
   EXPECT_EQ(m.external_log().size(), 1u);  // printf ran exactly once
 }
 

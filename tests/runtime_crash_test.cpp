@@ -180,6 +180,45 @@ TEST(CrashRecoveryTest, HotFailoverStandbyTakesOverTheMailbox) {
   EXPECT_EQ(s.poisoned_workers, 0u);
 }
 
+TEST(CrashRecoveryTest, HotFailoverStandbyDeliversADrainedUnmatchedMessageOnce) {
+  // The §12 handoff is where a mailbox changes consumer. The active worker
+  // dies while its pending list holds a message it drained but did not match
+  // (tag 1 arrived while it waited for tag 0); the standby takes over the
+  // mailbox and must deliver that message exactly once.
+  RecoveryOptions options = crash_options(/*hot_failover=*/true);
+  // Untimed worker waits and a driver that never retransmits: a message lost
+  // in the handoff cannot come back through §6 retransmission, so it shows
+  // up as the driver's timeout.
+  options.wait_deadline = std::chrono::microseconds{0};
+  options.app_wait_deadline = 2s;
+  options.max_retries = 0;
+  ThreadRuntime* rtp = nullptr;
+  ThreadRuntime rt(
+      2,
+      [&rtp](std::size_t me, std::uint64_t, std::int64_t tags, std::int64_t leader,
+             std::int64_t) {
+        const std::int64_t a = rtp->wait(me, tags + 0);
+        const std::int64_t b = rtp->wait(me, tags + 1);
+        rtp->cont(leader, tags + 100, 10 * a + b);
+        rtp->ack(leader, tags + 200);
+      },
+      options);
+  rtp = &rt;
+  rt.spawn(/*target_color=*/1, /*chunk=*/0, /*tags=*/0, /*leader=*/0, 0);
+  rt.cont(1, 1, 2);    // drained while the worker waits for tag 0
+  rt.flush_current();  // both cross before the kill switch
+  rt.inject_crash(1);  // behind them in the ring: wins the tag-0 wait as control
+  rt.cont(1, 0, 4);
+  EXPECT_EQ(rt.wait(0, 100), 42);
+  rt.wait_ack(0, 200);
+
+  const auto s = rt.stats_snapshot();
+  EXPECT_EQ(s.worker_crashes, 1u);
+  EXPECT_EQ(s.failovers, 1u);
+  EXPECT_EQ(s.duplicates_discarded, 0u);
+  EXPECT_EQ(s.poisoned_workers, 0u);
+}
+
 TEST(CrashRecoveryTest, CrashAtPreSendReplaysWithoutDoubleDelivery) {
   EchoHarness echo(crash_options(/*hot_failover=*/false));
   // Worker 1's third send (a mid-run reply cont) never happens: the enclave

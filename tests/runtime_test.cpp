@@ -279,7 +279,7 @@ TEST(ThreadRuntimeTest, SpawnRunsOnTheTargetWorker) {
     EXPECT_EQ(tags, 1000);
     ++runs;
     rt.ack(leader, tags + 200);
-  });
+  }, RecoveryOptions{});
   rt.spawn(/*target_color=*/2, /*chunk=*/7, /*tags=*/1000, /*leader=*/0, /*flags=*/0);
   rt.wait_ack(/*me=*/0, 1200);
   EXPECT_EQ(runs.load(), 1);
@@ -294,7 +294,7 @@ TEST(ThreadRuntimeTest, ContDeliversPayloadsByTag) {
     const std::int64_t a = rt.wait(me, tags + 0);
     rt.cont(leader, tags + 100, a + b);
     rt.ack(leader, tags + 200);
-  });
+  }, RecoveryOptions{});
   rt.spawn(1, 0, 0, 0, 0);
   rt.cont(1, 0, 40);  // tag 0 arrives first, consumed second
   rt.cont(1, 1, 2);
@@ -318,7 +318,7 @@ TEST(ThreadRuntimeTest, NestedSpawnIsServedWhileWaiting) {
       ++b_runs;
       rtp->ack(leader, tags + 200);
     }
-  });
+  }, RecoveryOptions{});
   rtp = &rt;
   rt.spawn(1, 0, 0, 0, 0);
   rt.wait_ack(0, 200);
@@ -332,7 +332,7 @@ TEST(ThreadRuntimeTest, OutboxSlotFlushesAtEightMessages) {
   // nothing, so no other outbox flush is counted.
   std::atomic<int> runs{0};
   ThreadRuntime rt(2, [&](std::size_t, std::uint64_t, std::int64_t, std::int64_t,
-                          std::int64_t) { ++runs; });
+                          std::int64_t) { ++runs; }, RecoveryOptions{});
   for (std::uint64_t i = 0; i < 9; ++i) rt.spawn(1, i, 0, 0, 0);
   rt.inject_raw(0, Message::ack(42));
   rt.wait_ack(0, 42);
@@ -354,11 +354,11 @@ TEST(SpawnGuardTest, LegitimateSpawnsRun) {
                           std::int64_t) {
     ++runs;
     rt.ack(leader, tags + 200);
-  }, /*spawn_secret=*/0xDEADBEEF);
+  }, RecoveryOptions{.spawn_secret = 0xDEADBEEF});
   rt.spawn(1, 5, 0, 0, 0);
   rt.wait_ack(0, 200);
   EXPECT_EQ(runs.load(), 1);
-  EXPECT_EQ(rt.rejected_spawns(), 0u);
+  EXPECT_EQ(rt.stats_snapshot().forged_spawn_rejects, 0u);
 }
 
 TEST(SpawnGuardTest, ForgedSpawnsAreDropped) {
@@ -367,7 +367,7 @@ TEST(SpawnGuardTest, ForgedSpawnsAreDropped) {
                           std::int64_t) {
     ++runs;
     rt.ack(leader, tags + 200);
-  }, /*spawn_secret=*/0xDEADBEEF);
+  }, RecoveryOptions{.spawn_secret = 0xDEADBEEF});
 
   // The attacker forges spawns with no / wrong MACs.
   Message forged = Message::spawn(5, 0, 0, 0);
@@ -378,7 +378,7 @@ TEST(SpawnGuardTest, ForgedSpawnsAreDropped) {
   rt.spawn(1, 5, 0, 0, 0);
   rt.wait_ack(0, 200);
   EXPECT_EQ(runs.load(), 1);
-  EXPECT_EQ(rt.rejected_spawns(), 2u);
+  EXPECT_EQ(rt.stats_snapshot().forged_spawn_rejects, 2u);
 }
 
 TEST(SpawnGuardTest, ReplayOfFieldsWithWrongMacFails) {
@@ -389,7 +389,7 @@ TEST(SpawnGuardTest, ReplayOfFieldsWithWrongMacFails) {
                           std::int64_t leader, std::int64_t) {
     last_chunk = chunk;
     rt.ack(leader, tags + 200);
-  }, /*spawn_secret=*/7);
+  }, RecoveryOptions{.spawn_secret = 7});
   // Capture a legit message by signing chunk 1, then tamper the chunk id.
   rt.spawn(1, 1, 1000, 0, 0);
   rt.wait_ack(0, 1200);
@@ -399,7 +399,7 @@ TEST(SpawnGuardTest, ReplayOfFieldsWithWrongMacFails) {
   //  approximate it by signing chunk 1 through a second runtime with the
   //  same secret, then swapping the chunk id)
   ThreadRuntime oracle(1, [](std::size_t, std::uint64_t, std::int64_t, std::int64_t,
-                             std::int64_t) {}, 7);
+                             std::int64_t) {}, RecoveryOptions{.spawn_secret = 7});
   // No public signer API: inject with a stale auth (any value not matching
   // chunk 2's MAC).
   tampered.auth = 0x1234567;
@@ -407,7 +407,7 @@ TEST(SpawnGuardTest, ReplayOfFieldsWithWrongMacFails) {
   rt.spawn(1, 3, 2000, 0, 0);
   rt.wait_ack(0, 2200);
   EXPECT_EQ(last_chunk.load(), 3u);  // the tampered spawn never ran
-  EXPECT_EQ(rt.rejected_spawns(), 1u);
+  EXPECT_EQ(rt.stats_snapshot().forged_spawn_rejects, 1u);
 }
 
 TEST(SpawnGuardTest, DisabledGuardAcceptsEverything) {
@@ -416,13 +416,13 @@ TEST(SpawnGuardTest, DisabledGuardAcceptsEverything) {
                           std::int64_t) {
     ++runs;
     rt.ack(leader, tags + 200);
-  });  // secret = 0: unguarded (the paper's prototype behavior, §8)
+  }, RecoveryOptions{});  // secret = 0: unguarded (the paper's prototype behavior, §8)
   rt.inject_raw(1, Message::spawn(5, 0, 0, 0));
   rt.spawn(1, 5, 100, 0, 0);
   rt.wait_ack(0, 100 + 200);
   rt.wait_ack(0, 0 + 200);
   EXPECT_EQ(runs.load(), 2);
-  EXPECT_EQ(rt.rejected_spawns(), 0u);
+  EXPECT_EQ(rt.stats_snapshot().forged_spawn_rejects, 0u);
 }
 
 }  // namespace
